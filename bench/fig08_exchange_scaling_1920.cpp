@@ -16,45 +16,6 @@ int main() {
                       "complete exchange vs machine size (1920 bytes)");
 
   bench::MetricsEmitter metrics("fig08_exchange_scaling_1920");
-  {
-    // Reference before/after wall-clock for this sweep (full mode, 1-core
-    // container, interleaved A/B medians of 10 runs each; docs/PERF.md
-    // has the methodology). "before" is the thread execution backend
-    // (CM5_EXEC_THREADS=1, the pre-fiber kernel retained verbatim as the
-    // oracle); "after" is the default fiber backend. Simulated times are
-    // byte-identical between the two; only host time differs. This run's
-    // own wall-clock is recorded live as perf.total_wall_ms.
-    using util::json::Value;
-    Value base = Value::object();
-    base["before_total_wall_ms"] = 8300.0;
-    base["before_user_cpu_ms"] = 4400.0;
-    base["after_total_wall_ms"] = 4100.0;
-    base["after_user_cpu_ms"] = 3200.0;
-    base["note"] =
-        "medians, 2026-08: fibers run this sweep at ~49% of the same-day "
-        "thread-backend wall clock (the ~2.4s futex/condvar handoff floor "
-        "-- the 'sys' column -- vanishes entirely; remaining time is fluid "
-        "solver + trace analysis). The pre-fiber build recorded 5100ms "
-        "here, but this container now times the *unchanged* thread oracle "
-        "at ~8300ms, so compare ratios, not absolute ms, across PRs.";
-    Value lanes = Value::object();
-    lanes["pre_multilane_total_wall_ms"] = 2887.0;
-    lanes["lanes1_total_wall_ms"] = 3018.0;
-    lanes["lanes4_total_wall_ms"] = 4084.0;
-    lanes["note"] =
-        "interleaved medians of 5, 2026-08, 1-core container: lanes=1 is "
-        "parity with the pre-multilane build (this sweep is solver-bound "
-        "and single-lane takes none of the new cross-thread paths); "
-        "lanes=4 is ~1.4x slower here because one core gives speculation "
-        "zero parallel capacity while lane-boundary handoffs become real "
-        "thread wakeups. CM5_LANES therefore defaults to 1; see "
-        "docs/PERF.md 'Multi-lane numbers' for where multilane wins "
-        "(multi-core hosts, and the TSAN tier: 4096-node stress 67.5s -> "
-        "38.6s vs the thread-oracle pin it replaced). Simulated output "
-        "is byte-identical at every lane count.";
-    base["multilane"] = std::move(lanes);
-    metrics.set_perf_baseline(std::move(base));
-  }
   const std::vector<std::int32_t> procs =
       bench::smoke_select<std::int32_t>({32, 64, 128, 256}, {32, 64});
   const ExchangeAlgorithm algs[] = {ExchangeAlgorithm::Pairwise,

@@ -399,6 +399,10 @@ class Kernel {
     bool timed_out = false;   ///< current wake is a timeout, not a delivery
     bool peer_failed = false; ///< current wake means the peer died
     std::int64_t wait_generation = 0;  ///< bumped at each timed-wait arm
+    /// Slot in transfers_ of the transfer that last consumed this node's
+    /// receive (-1: none). A node has at most one receive outstanding, so
+    /// this is the only slot that can still hold its recv_info.
+    std::int64_t consuming_transfer = -1;
     std::optional<util::SimTime> gop_deadline;  ///< try_barrier deadline
     std::vector<std::byte> gop_result;  ///< this node's copy of the result
     NodeCounters counters;

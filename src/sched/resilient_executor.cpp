@@ -102,13 +102,14 @@ class NodeSession {
     got_.assign(un, 0);
     sent_to_.assign(un, 0);
     ledger_.dead.assign(un, 0);
+    suspect_union_.assign((mask_bytes_ + 7) / 8, 0);
   }
 
   void run() {
     for (std::int32_t step = 0; step < schedule_.num_steps(); ++step) {
       begin_step(step);
       if (!ledger_.excommunicated) {
-        for (const Op& op : ordered_ops(schedule_, step, self_)) {
+        for (const Op& op : ops_) {
           switch (op.kind) {
             case Op::Kind::Send:
               send_edge(step, op.peer, op.send_bytes);
@@ -167,22 +168,33 @@ class NodeSession {
     return -1;
   }
 
+  /// Resets the per-step state. Only the entries the previous step set
+  /// are cleared, so a node's per-step cost follows its own edges.
   void begin_step(std::int32_t step) {
     const auto est = step_est_[static_cast<std::size_t>(step)];
     cur_est_ = est;
     fixed_timeout_ = std::max(
         opts_.min_timeout, static_cast<util::SimDuration>(
                                opts_.timeout_factor * static_cast<double>(est)));
-    const auto un = static_cast<std::size_t>(n_);
-    expected_.assign(un, -1);
-    copies_seen_.assign(un, 0);
-    got_.assign(un, 0);
-    sent_to_.assign(un, 0);
-    for (const Op& op : ordered_ops(schedule_, step, self_)) {
+    for (const NodeId p : recv_peers_) {
+      const auto s = static_cast<std::size_t>(p);
+      expected_[s] = -1;
+      copies_seen_[s] = 0;
+      got_[s] = 0;
+    }
+    for (const NodeId p : sent_peers_) sent_to_[static_cast<std::size_t>(p)] = 0;
+    recv_peers_.clear();
+    sent_peers_.clear();
+    ops_ = ordered_ops(schedule_, step, self_);
+    for (const Op& op : ops_) {
       if (op.kind == Op::Kind::Recv || op.kind == Op::Kind::Exchange) {
         expected_[static_cast<std::size_t>(op.peer)] = op.recv_bytes;
+        recv_peers_.push_back(op.peer);
       }
     }
+    std::sort(recv_peers_.begin(), recv_peers_.end());
+    recv_peers_.erase(std::unique(recv_peers_.begin(), recv_peers_.end()),
+                      recv_peers_.end());
   }
 
   /// Receive deadline for window `window` on an edge to `peer`. The
@@ -236,7 +248,10 @@ class NodeSession {
   /// final NACK at the attempt limit, or the limit itself.
   void send_edge(std::int32_t step, NodeId peer, std::int64_t bytes) {
     if (ledger_.dead[static_cast<std::size_t>(peer)]) return;  // excised
-    sent_to_[static_cast<std::size_t>(peer)] = 1;
+    if (sent_to_[static_cast<std::size_t>(peer)] == 0) {
+      sent_to_[static_cast<std::size_t>(peer)] = 1;
+      sent_peers_.push_back(peer);
+    }
     std::int32_t sent = 0;
     auto send_copy = [&] {
       node_.send_async(peer, bytes, data_tag(step));
@@ -321,9 +336,8 @@ class NodeSession {
   /// no acks (the peer's ack sweep already ran or is about to), no
   /// ledger writes (digests are frozen at the agreement barrier).
   void drain_data(std::int32_t step, bool record) {
-    for (NodeId src = 0; src < n_; ++src) {
+    for (const NodeId src : recv_peers_) {
       const auto s = static_cast<std::size_t>(src);
-      if (expected_[s] < 0) continue;
       while (const std::optional<machine::Message> msg =
                  node_.receive_timeout(src, data_tag(step), 0)) {
         CM5_CHECK_MSG(msg->size == expected_[s],
@@ -345,11 +359,11 @@ class NodeSession {
   }
 
   /// Zero-deadline sweep of this step's ack tag for every peer we sent
-  /// to: swallow stale verdicts (duplicate acks, NACKs that arrived
-  /// after we gave up or succeeded).
+  /// to, in ascending peer order: swallow stale verdicts (duplicate
+  /// acks, NACKs that arrived after we gave up or succeeded).
   void drain_acks(std::int32_t step) {
-    for (NodeId peer = 0; peer < n_; ++peer) {
-      if (sent_to_[static_cast<std::size_t>(peer)] == 0) continue;
+    std::sort(sent_peers_.begin(), sent_peers_.end());
+    for (const NodeId peer : sent_peers_) {
       while (node_.receive_timeout(peer, ack_tag(step), 0)) {
       }
     }
@@ -364,30 +378,46 @@ class NodeSession {
   /// global ops (so the survivors' concatenations stay well-formed) but
   /// contributes nothing and performs no further data communication.
   void agree_on_dead() {
+    // Only this step's peers can be suspected; clear them as they go in.
     std::vector<std::byte> mask(mask_bytes_, std::byte{0});
-    if (!ledger_.excommunicated) {
-      for (std::size_t i = 0; i < static_cast<std::size_t>(n_); ++i) {
-        if (suspected_[i] != 0) {
-          mask[i / 8] |= std::byte{1} << (i % 8);
-        }
-      }
-    }
+    auto take_suspicion = [&](NodeId peer) {
+      const auto i = static_cast<std::size_t>(peer);
+      if (suspected_[i] == 0) return;
+      suspected_[i] = 0;
+      mask[i / 8] |= std::byte{1} << (i % 8);
+    };
+    for (const NodeId p : recv_peers_) take_suspicion(p);
+    for (const NodeId p : sent_peers_) take_suspicion(p);
     const std::vector<std::byte> all =
         ledger_.excommunicated ? node_.global_concat({})
                                : node_.global_concat(mask);
     CM5_CHECK_MSG(all.size() % mask_bytes_ == 0,
                   "agreement concatenation of unexpected size");
-    std::vector<std::uint8_t> suspect_union(static_cast<std::size_t>(n_), 0);
+    // Union of every contribution, OR-ed 64 bits at a time; OR is
+    // bytewise, so the union keeps the masks' byte layout. A mask's last
+    // word is partial unless N is a multiple of 64: only its remaining
+    // bytes are loaded, and bits past N are never read.
+    const std::size_t full_words = mask_bytes_ / 8;
+    const std::size_t tail_bytes = mask_bytes_ % 8;
+    std::fill(suspect_union_.begin(), suspect_union_.end(), 0);
     for (std::size_t base = 0; base < all.size(); base += mask_bytes_) {
-      for (std::size_t i = 0; i < static_cast<std::size_t>(n_); ++i) {
-        if ((all[base + i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) {
-          suspect_union[i] = 1;
-        }
+      const std::byte* contribution = all.data() + base;
+      for (std::size_t w = 0; w < full_words; ++w) {
+        std::uint64_t word;
+        std::memcpy(&word, contribution + 8 * w, 8);
+        suspect_union_[w] |= word;
+      }
+      if (tail_bytes != 0) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, contribution + 8 * full_words, tail_bytes);
+        suspect_union_[full_words] |= word;
       }
     }
+    const auto* suspects =
+        reinterpret_cast<const unsigned char*>(suspect_union_.data());
     bool grew = false;
     for (std::size_t i = 0; i < static_cast<std::size_t>(n_); ++i) {
-      if (suspect_union[i] != 0) {
+      if ((suspects[i / 8] >> (i % 8)) & 1) {
         ++streak_[i];
         if (streak_[i] >= opts_.suspicion_rounds && ledger_.dead[i] == 0) {
           ledger_.dead[i] = 1;
@@ -403,7 +433,6 @@ class NodeSession {
         ledger_.excommunicated = true;
       }
     }
-    std::fill(suspected_.begin(), suspected_.end(), 0);
   }
 
   machine::Node& node_;
@@ -416,10 +445,14 @@ class NodeSession {
   const std::int32_t n_;
   const std::size_t mask_bytes_;
   std::vector<std::uint8_t> suspected_;   // fresh suspicions, this step
+  std::vector<std::uint64_t> suspect_union_;  // OR of all masks, padded
   std::vector<std::int32_t> streak_;      // consecutive suspected rounds
   std::vector<RttEstimator> peer_rtt_;
   RttEstimator global_rtt_;               // fallback for unseen peers
   // Per-step protocol state (reset in begin_step).
+  std::vector<Op> ops_;                   // this step's ops, executor order
+  std::vector<NodeId> recv_peers_;        // ascending, unique
+  std::vector<NodeId> sent_peers_;        // first-send order; sorted to drain
   std::vector<std::int64_t> expected_;    // recv bytes per src, -1 = none
   std::vector<std::int32_t> copies_seen_;
   std::vector<std::uint8_t> got_;

@@ -535,6 +535,7 @@ void Kernel::start_raw_transfer(util::SimTime match_time, NodeId src,
            tag);
     }
   }
+  if (recv_info) nodes_[idx(dst)].consuming_transfer = transfer_id;
   transfers_.push_back(Transfer{src, dst, user_bytes, tag, std::move(payload),
                                 kind, dropped, corrupt,
                                 std::move(recv_info)});
@@ -869,18 +870,17 @@ void Kernel::fire_timer(const Timer& timer) {
     // deadline — it cannot observe a wire that will never deliver. A
     // healthy in-flight transfer instead commits the delivery (the timer
     // is stale; the message may complete after the deadline).
-    for (auto& slot : transfers_) {
-      if (!slot || slot->dst != timer.node || !slot->recv_info) continue;
-      const PendingRecv& recv = *slot->recv_info;
-      if (!recv.deadline || *recv.deadline != timer.time) continue;
-      if (!slot->dropped) return;  // delivery committed
-      slot->recv_info.reset();     // completion must not re-arm the wait
-      st.timed_out = true;
-      emit(TraceEvent::Kind::WaitTimeout, timer.time, timer.node,
-           recv.src_filter, 0, recv.tag_filter);
-      wake_node(timer.node, timer.time);
-      return;
-    }
+    if (st.consuming_transfer < 0) return;
+    auto& slot = transfers_[static_cast<std::size_t>(st.consuming_transfer)];
+    if (!slot || !slot->recv_info) return;
+    const PendingRecv recv = *slot->recv_info;
+    if (!recv.deadline || *recv.deadline != timer.time) return;
+    if (!slot->dropped) return;  // delivery committed
+    slot->recv_info.reset();     // completion must not re-arm the wait
+    st.timed_out = true;
+    emit(TraceEvent::Kind::WaitTimeout, timer.time, timer.node,
+         recv.src_filter, 0, recv.tag_filter);
+    wake_node(timer.node, timer.time);
   } else {
     if (!st.gop_deadline || *st.gop_deadline != timer.time) return;
     if (!gop_.waiting[idx(timer.node)]) return;

@@ -13,6 +13,7 @@
 #include "cm5/sched/builders.hpp"
 #include "cm5/sched/pattern.hpp"
 #include "cm5/sim/fault.hpp"
+#include "cm5/sim/trace.hpp"
 #include "cm5/util/check.hpp"
 #include "cm5/util/json.hpp"
 #include "cm5/util/time.hpp"
@@ -348,6 +349,125 @@ TEST(ResilientExecutorTest, GraySlowNodeIsWaitedOutNotExcised) {
   EXPECT_TRUE(report.lost_edges.empty());
   EXPECT_EQ(report.repairs, 0);
   EXPECT_GE(report.makespan, report.fault_free_makespan);
+}
+
+// ---------------------------------------------------------------------------
+// Agreement masks at a machine size that is not a multiple of 8 or 64
+// ---------------------------------------------------------------------------
+
+TEST(ResilientExecutorTest, AgreementAtUnalignedSizeExcisesExactlyTheKilled) {
+  // N = 70: the suspicion mask is 9 bytes, so each node's contribution
+  // ends in a partial 64-bit word. The killed nodes sit on both sides of
+  // the byte (7 | 8) and word (63 | 64) boundaries, plus the last bit.
+  const std::int32_t n = 70;
+  const std::vector<NodeId> killed{7, 8, 63, 64, 69};
+  auto is_killed = [&](NodeId p) {
+    return std::find(killed.begin(), killed.end(), p) != killed.end();
+  };
+  const CommSchedule schedule = build_schedule(
+      Scheduler::Greedy, CommPattern::complete_exchange(n, 64));
+
+  struct Outcome {
+    ResilientRunReport report;
+    std::vector<std::vector<NodeId>> dead_by_step;  // lowest survivor's view
+    std::vector<sim::TraceEvent> events;
+  };
+  auto run_once = [&] {
+    auto machine = make_machine(n);
+    sim::FaultPlan plan;
+    for (const NodeId k : killed) plan.deaths.push_back({k, 0});
+    machine.set_fault_plan(plan);
+    Outcome out;
+    sim::TraceRecorder trace;
+    ResilientOptions options;
+    options.measure_fault_free_baseline = false;
+    options.trace = trace.sink();
+    options.checkpoint_sink = [&](const ResilientCheckpoint& c) {
+      out.dead_by_step.push_back(c.dead_nodes);
+    };
+    out.report = run_resilient_schedule(machine, schedule, options);
+    out.events = trace.events();
+    return out;
+  };
+  const Outcome a = run_once();
+  const ResilientRunReport& report = a.report;
+
+  EXPECT_EQ(report.dead_nodes, killed) << report.to_string();
+
+  // The agreed set only ever grows toward the killed set; find the step
+  // after which every survivor must have excised all of it.
+  ASSERT_EQ(a.dead_by_step.size(),
+            static_cast<std::size_t>(schedule.num_steps()));
+  std::int32_t agreed_step = -1;
+  for (std::size_t s = 0; s < a.dead_by_step.size(); ++s) {
+    for (const NodeId d : a.dead_by_step[s]) EXPECT_TRUE(is_killed(d)) << d;
+    if (agreed_step < 0 && a.dead_by_step[s] == killed) {
+      agreed_step = static_cast<std::int32_t>(s);
+    }
+  }
+  ASSERT_GE(agreed_step, 0);
+  ASSERT_LT(agreed_step + 1, schedule.num_steps());
+
+  // Every survivor acts on that set. A sender skips an excised peer
+  // entirely (no data copy, no ack wait), so after the agreement step no
+  // survivor posts data to, or waits for an ack from, a killed node.
+  // (Receivers still sweep excised peers' tags with zero-deadline drains,
+  // so their receives are not a signal.)
+  const ResilientOptions defaults;
+  const std::int32_t later = agreed_step + 1;
+  std::int64_t skipped_sends = 0;
+  for (std::int32_t step = later; step < schedule.num_steps(); ++step) {
+    for (NodeId p = 0; p < n; ++p) {
+      if (is_killed(p)) continue;
+      for (const Op& op : schedule.ops(step, p)) {
+        if (op.kind != Op::Kind::Recv && is_killed(op.peer)) ++skipped_sends;
+      }
+    }
+  }
+  EXPECT_GT(skipped_sends, 0);
+  for (const sim::TraceEvent& e : a.events) {
+    const bool late_data = e.kind == sim::TraceEvent::Kind::SendPosted &&
+                           e.tag >= defaults.data_tag_base + later &&
+                           e.tag < defaults.ack_tag_base;
+    const bool late_ack_wait = e.kind == sim::TraceEvent::Kind::RecvPosted &&
+                               e.tag >= defaults.ack_tag_base + later;
+    if (!late_data && !late_ack_wait) continue;
+    EXPECT_FALSE(is_killed(e.node));
+    EXPECT_FALSE(is_killed(e.peer))
+        << "node " << e.node << " still addresses " << e.peer << " at tag "
+        << e.tag;
+  }
+
+  // Exactly the edges touching a killed node are lost.
+  std::vector<LostEdge> expected;
+  for (std::int32_t step = 0; step < schedule.num_steps(); ++step) {
+    for (NodeId p = 0; p < n; ++p) {
+      for (const Op& op : schedule.ops(step, p)) {
+        if (op.kind == Op::Kind::Recv) continue;
+        if (is_killed(p) || is_killed(op.peer)) {
+          expected.push_back(LostEdge{step, p, op.peer, op.send_bytes});
+        }
+      }
+    }
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const LostEdge& x, const LostEdge& y) {
+              return std::tie(x.step, x.src, x.dst) <
+                     std::tie(y.step, y.src, y.dst);
+            });
+  ASSERT_EQ(report.lost_edges.size(), expected.size()) << report.to_string();
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(report.lost_edges[i].step, expected[i].step);
+    EXPECT_EQ(report.lost_edges[i].src, expected[i].src);
+    EXPECT_EQ(report.lost_edges[i].dst, expected[i].dst);
+  }
+  EXPECT_EQ(report.edges_delivered,
+            report.edges_total - static_cast<std::int64_t>(expected.size()));
+
+  const Outcome b = run_once();
+  EXPECT_EQ(a.report.to_json().dump(), b.report.to_json().dump());
+  EXPECT_EQ(a.report.run.finish_time, b.report.run.finish_time);
+  EXPECT_EQ(a.dead_by_step, b.dead_by_step);
 }
 
 // ---------------------------------------------------------------------------
