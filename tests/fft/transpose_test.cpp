@@ -18,8 +18,13 @@ struct TransposeCase {
   sched::ExchangeAlgorithm algorithm;
   std::int32_t nprocs;
   std::int32_t n;
+  // Offsets the element stamps. It also fills what would otherwise be
+  // uninitialised padding before elem_bytes, so the parameter bytes gtest
+  // prints into each test name are the same on every run.
+  std::uint32_t stamp_seed;
   std::int64_t elem_bytes;
 };
+static_assert(sizeof(TransposeCase) == 24, "TransposeCase has no padding");
 
 class TransposeTest : public ::testing::TestWithParam<TransposeCase> {};
 
@@ -31,7 +36,7 @@ TEST_P(TransposeTest, MatchesSerialTranspose) {
                      static_cast<std::size_t>(c.elem_bytes);
   std::vector<std::byte> full(total);
   for (std::size_t i = 0; i < total; ++i) {
-    full[i] = static_cast<std::byte>((i * 131 + 7) % 256);
+    full[i] = static_cast<std::byte>((i * 131 + 7 + c.stamp_seed) % 256);
   }
   auto element = [&](std::span<const std::byte> buffer, std::size_t row,
                      std::size_t col) {
@@ -73,11 +78,11 @@ TEST_P(TransposeTest, MatchesSerialTranspose) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TransposeTest,
     ::testing::Values(
-        TransposeCase{sched::ExchangeAlgorithm::Pairwise, 4, 16, 8},
-        TransposeCase{sched::ExchangeAlgorithm::Balanced, 8, 32, 8},
-        TransposeCase{sched::ExchangeAlgorithm::Recursive, 8, 16, 4},
-        TransposeCase{sched::ExchangeAlgorithm::Linear, 4, 8, 16},
-        TransposeCase{sched::ExchangeAlgorithm::Pairwise, 16, 32, 1}));
+        TransposeCase{sched::ExchangeAlgorithm::Pairwise, 4, 16, 0, 8},
+        TransposeCase{sched::ExchangeAlgorithm::Balanced, 8, 32, 0x1E03, 8},
+        TransposeCase{sched::ExchangeAlgorithm::Recursive, 8, 16, 0, 4},
+        TransposeCase{sched::ExchangeAlgorithm::Linear, 4, 8, 0, 16},
+        TransposeCase{sched::ExchangeAlgorithm::Pairwise, 16, 32, 0x2A78, 1}));
 
 TEST(TransposeTest, DoubleTransposeIsIdentity) {
   const std::int32_t nprocs = 8, n = 32;
