@@ -1,5 +1,5 @@
 /// Microbenchmarks (google-benchmark) of the fluid network's fast paths:
-/// the on-demand route computation, the incremental vs oracle max-min solver
+/// the on-demand route computation, the component-local max-min solver
 /// under single-flow churn, the heap-backed next_event() lookup, and a
 /// full exchange-step drain. These are the host-time costs docs/PERF.md
 /// documents; run in Release mode.
@@ -33,46 +33,41 @@ void BM_RouteLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteLookup)->Arg(32)->Arg(256);
 
-/// One small flow starting and completing against a standing population
-/// of long-lived flows. The incremental solver touches only the changed
-/// flow's sharing component; the oracle re-solves the whole network.
-void churn(benchmark::State& state, net::FluidNetwork::SolverMode mode) {
-  const auto background = static_cast<std::int32_t>(state.range(0));
+/// One small flow starting and completing in one of K link-disjoint
+/// groups, each a 4-node cluster of a 256-node tree holding 16 standing
+/// long-lived flows among its own nodes. Each solve re-fills only the
+/// churning group's component, so the cost per churn should stay flat as
+/// K (and with it the total number of active flows) grows.
+void BM_SolverChurnLocal(benchmark::State& state) {
+  const auto groups = static_cast<std::int32_t>(state.range(0));
   const std::int32_t nprocs = 256;
   const net::FatTreeTopology topo(net::FatTreeConfig::cm5(nprocs));
   net::FluidNetwork nw(topo);
-  nw.set_solver_mode(mode);
-  util::Rng rng(23);
   util::SimTime t = 0;
-  for (std::int32_t f = 0; f < background; ++f) {
-    const auto s = static_cast<net::NodeId>(rng.next_below(static_cast<std::uint64_t>(nprocs)));
-    auto d = static_cast<net::NodeId>(rng.next_below(static_cast<std::uint64_t>(nprocs)));
-    if (d == s) d = (d + 1) % nprocs;
-    nw.start_flow(t, s, d, 1e15);  // effectively never completes
+  for (std::int32_t g = 0; g < groups; ++g) {
+    for (std::int32_t f = 0; f < 16; ++f) {
+      const std::int32_t s = f / 4;
+      const std::int32_t d = (s + 1 + f % 3) % 4;
+      nw.start_flow(t, 4 * g + s, 4 * g + d, 1e15);  // never completes
+    }
   }
+  const std::size_t background = nw.active_flows();
+  util::Rng rng(23);
   for (auto _ : state) {
-    const auto s = static_cast<net::NodeId>(rng.next_below(static_cast<std::uint64_t>(nprocs)));
-    auto d = static_cast<net::NodeId>(rng.next_below(static_cast<std::uint64_t>(nprocs)));
-    if (d == s) d = (d + 1) % nprocs;
-    nw.start_flow(t, s, d, 64.0);
-    while (nw.active_flows() > static_cast<std::size_t>(background)) {
+    const auto s = static_cast<net::NodeId>(rng.next_below(4));
+    nw.start_flow(t, s, (s + 1) % 4, 64.0);  // always in group 0
+    while (nw.active_flows() > background) {
       const auto ev = nw.next_event();
       t = *ev;
       benchmark::DoNotOptimize(nw.advance_to(t).size());
     }
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["flows_refilled_per_solve"] =
+      static_cast<double>(nw.stats().flows_refilled) /
+      static_cast<double>(nw.stats().rate_solves);
 }
-
-void BM_SolverChurnIncremental(benchmark::State& state) {
-  churn(state, net::FluidNetwork::SolverMode::kIncremental);
-}
-BENCHMARK(BM_SolverChurnIncremental)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_SolverChurnOracle(benchmark::State& state) {
-  churn(state, net::FluidNetwork::SolverMode::kOracle);
-}
-BENCHMARK(BM_SolverChurnOracle)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_SolverChurnLocal)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_NextEventPeek(benchmark::State& state) {
   // Steady-state next_event() with many active flows: after the first

@@ -29,19 +29,16 @@
 ///
 /// Two performance-critical structures back this API (see docs/PERF.md):
 ///
-/// * An *incremental* max-min solver. Re-solves only happen when a flow
-///   start/finish or a link-fault capacity change dirties a link, and the
-///   solve itself reuses state built once per flow: the flow→link
-///   adjacency, a FlowId-ordered active list maintained across solves,
-///   and stamp-based link sets, so a solve touches only the links that
-///   actually carry traffic and allocates nothing once warm. Every
-///   active flow is re-frozen each solve — the reference algorithm's
-///   freeze tolerance couples even link-disjoint flows in the last ulp,
-///   so a solve restricted to the flows reachable from the dirtied links
-///   cannot stay bit-identical to it (see resolve_incremental). Flows
-///   are processed in FlowId order so the arithmetic matches the seed
-///   whole-network solve exactly; that solve is retained behind
-///   SolverMode::kOracle as a differential-testing reference.
+/// * An *incremental* max-min solver in exact integer arithmetic (rates
+///   in units of 2^-24 B/s, see maxmin.hpp and MODEL.md "Rate
+///   arithmetic"). Exact shares and ties make a connected component's
+///   allocation independent of every other component and of FlowId
+///   order, so a solve re-fills only the flows reachable from the dirtied
+///   links through the link -> flows -> links sharing graph; every other
+///   flow keeps its rate and heap entry untouched. Each link keeps the
+///   list of its live flows, updated in O(1) per route link as flows
+///   start and retire. Nothing allocates once warm. solve_max_min
+///   computes the same rates bit for bit and is the tests' reference.
 ///
 /// * A lazy min-heap of projected completion times, so next_event() is a
 ///   heap peek instead of a scan over every active flow. Entries are
@@ -73,6 +70,9 @@ struct NetworkStats {
   std::int64_t flows_completed = 0;
   /// Number of max-min re-solves performed (a cost/behaviour metric).
   std::int64_t rate_solves = 0;
+  /// Flows re-frozen, summed over solves: the size of the component each
+  /// solve re-filled (a cost metric, reported beside rate_solves).
+  std::int64_t flows_refilled = 0;
   /// Number of completion-heap pops (stale-entry discards included) — a
   /// cost metric for the event-lookup path, reported in bench perf JSON.
   std::int64_t heap_pops = 0;
@@ -81,11 +81,6 @@ struct NetworkStats {
 /// Flow-level network simulation over a FatTreeTopology.
 class FluidNetwork {
  public:
-  /// Which rate solver resolve_rates() uses. Simulation results are
-  /// identical; kOracle re-solves the whole network from scratch on every
-  /// rate change and exists as the reference for differential tests.
-  enum class SolverMode { kIncremental, kOracle };
-
   explicit FluidNetwork(const FatTreeTopology& topo);
 
   /// Starts a flow of `wire_bytes` from src to dst at time `now`.
@@ -104,7 +99,7 @@ class FluidNetwork {
   std::vector<FlowId> advance_to(util::SimTime t);
 
   /// Number of currently active flows.
-  std::size_t active_flows() const noexcept { return active_count_; }
+  std::size_t active_flows() const noexcept { return active_slots_.size(); }
 
   /// Scales the capacity of one link to `scale` x its topology capacity,
   /// effective from time `now` (fluid state up to `now` progresses at the
@@ -114,11 +109,6 @@ class FluidNetwork {
 
   /// Current capacity scale of a link (1.0 unless degraded).
   double link_capacity_scale(LinkId link) const;
-
-  /// Selects the rate solver. Only legal while the network is idle (no
-  /// active flows), i.e. before a run or between runs.
-  void set_solver_mode(SolverMode mode);
-  SolverMode solver_mode() const noexcept { return solver_mode_; }
 
   /// Test hook: the current max-min rate (bytes/s) of an active flow.
   /// Re-solves if rates are stale, so calling it perturbs rate_solves.
@@ -131,26 +121,45 @@ class FluidNetwork {
   /// Slot-based flow storage: completed flows free their slot for reuse,
   /// so memory stays proportional to the peak number of concurrent flows.
   struct Slot {
+    // Fields a solve or progress step reads come first, so that with the
+    // used head of route_links they share the slot's first cache lines.
     FlowId id = -1;
+    /// Current max-min rate: exact in rate units, and the same value in
+    /// bytes/s for the progress and projection arithmetic.
+    RateUnits rate_units = 0;
+    double rate = 0.0;
+    double bytes_remaining = 0.0;
+    /// Solve generation that last reached this flow, and whether that
+    /// solve has frozen it yet.
+    std::uint64_t visit_gen = 0;
+    bool frozen = false;
+    bool live = false;
+    std::uint8_t route_len = 0;
     NodeId src = -1;
     NodeId dst = -1;
-    double bytes_remaining = 0.0;
-    double rate = 0.0;
-    /// Route links, copied inline at start_flow (topology route_into):
-    /// slot reuse never allocates and flow state holds no pointers into
-    /// topology-owned tables, which is what lets routes be computed on
-    /// demand instead of tabulated O(N²).
-    std::array<LinkId, kMaxRouteLinks> route_links{};
-    std::uint8_t route_len = 0;
-    std::span<const LinkId> route() const noexcept {
-      return {route_links.data(), route_len};
-    }
     /// Invalidation counter for heap entries; bumped whenever the slot's
     /// outstanding entry becomes wrong (new projection, flow retired).
     std::uint64_t epoch = 0;
     /// Time of this slot's valid heap entry; -1 (kNoHeapEntry) if none.
     util::SimTime heap_time = -1;
-    bool live = false;
+    /// Route links, copied inline at start_flow (topology route_into):
+    /// slot reuse never allocates and flow state holds no pointers into
+    /// topology-owned tables, which is what lets routes be computed on
+    /// demand instead of tabulated O(N²).
+    std::array<LinkId, kMaxRouteLinks> route_links{};
+    /// link_pos[h]: this flow's index in route_links[h]'s flow list.
+    std::array<std::uint32_t, kMaxRouteLinks> link_pos{};
+    std::uint32_t active_pos = 0;  // index in active_slots_
+    std::span<const LinkId> route() const noexcept {
+      return {route_links.data(), route_len};
+    }
+  };
+
+  /// A flow on a link's list: its slot, and the link's index in the
+  /// flow's route (so a removal can fix the moved entry's link_pos).
+  struct LinkEntry {
+    std::uint32_t slot;
+    std::uint32_t hop;
   };
 
   struct HeapEntry {
@@ -166,8 +175,13 @@ class FluidNetwork {
   }
 
   void resolve_rates();
-  void resolve_incremental();
-  void resolve_oracle();
+  /// Adds a link to the component being re-filled, once per solve.
+  void reach_link(LinkId l);
+  /// Adds a reached link's flows to the component and reaches their
+  /// links; returns how many flows it added.
+  std::size_t collect_link(LinkId l);
+  /// Freezes one flow of the component at `share` rate units.
+  void freeze(std::uint32_t si, RateUnits share);
   /// Recomputes a slot's projected completion and (if it changed) pushes
   /// a fresh heap entry, invalidating the old one via the epoch.
   void refresh_heap_entry(std::uint32_t si);
@@ -177,7 +191,8 @@ class FluidNetwork {
   bool heap_entry_valid(const HeapEntry& e) const;
   /// Marks a link's rates as needing a re-solve.
   void mark_dirty(LinkId l);
-  /// Frees a completed flow's slot and dirties the links it occupied.
+  /// Frees a completed flow's slot, removes it from its links' flow lists
+  /// and dirties those links.
   void retire_slot(std::uint32_t si);
   /// Moves fluid state (bytes + busy accounting) forward to time t.
   void progress_to(util::SimTime t);
@@ -185,57 +200,56 @@ class FluidNetwork {
   const FatTreeTopology& topo_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t active_count_ = 0;
-  /// Live-flow count per link, maintained on flow start/retire so a
-  /// solve never recounts routes.
-  std::vector<std::int32_t> flows_on_link_;
-  /// Links with at least one live flow. Appended on a 0→1 count
-  /// transition; entries whose count dropped back to 0 (and duplicates
-  /// from later 0→1 transitions) are swept out at the next solve, so the
-  /// list is exact whenever rates are clean.
+  /// Slots of the live flows, in no particular order; Slot::active_pos
+  /// is each one's index here.
+  std::vector<std::uint32_t> active_slots_;
+
+  /// Everything a solve or progress step keeps per link, in one record
+  /// so that reaching a link touches one or two cache lines.
+  struct LinkState {
+    /// The link's live flows, in no particular order: start_flow
+    /// appends, and retiring swaps the last entry into the gap.
+    std::vector<LinkEntry> flows;
+    RateUnits capacity = 0;  // topology capacity x scale
+    RateUnits load = 0;      // sum of the link's flow rates
+    /// Progressive-filling state while the link is in a component:
+    /// residual capacity, unfrozen flows, and floor(residual / unfrozen)
+    /// or -1 until recomputed after a freeze.
+    RateUnits residual = 0;
+    RateUnits share = -1;
+    std::int64_t unfrozen = 0;
+    /// Solve generation that last reached the link.
+    std::uint64_t gen = 0;
+    /// Index in live_links_ while the link has flows.
+    std::uint32_t live_pos = 0;
+    /// Flow set or capacity changed since the last solve.
+    bool dirty = false;
+  };
+  std::vector<LinkState> links_;
+  /// Links with at least one live flow, in no particular order.
   std::vector<LinkId> live_links_;
-  std::vector<double> link_load_;  // bytes/s per link at current rates
   std::vector<double> capacity_scale_;  // degradation multipliers (1 = healthy)
 
   /// Links whose flow set or capacity changed since the last re-solve.
   std::vector<LinkId> dirty_links_;
-  std::vector<std::uint8_t> link_dirty_;
 
   /// Completion-time min-heap (std::push_heap/pop_heap on a vector so
   /// compact_heap can filter in place).
   std::vector<HeapEntry> heap_;
 
-  /// Scratch for the incremental solver (persist across calls so a solve
-  /// allocates nothing once warm). Stamp arrays implement O(1) "seen"
-  /// sets without clearing.
-  std::vector<std::uint64_t> link_stamp_;
-  std::uint64_t stamp_gen_ = 0;
-  std::vector<double> residual_;
-  std::vector<std::int32_t> active_on_link_;
-  std::vector<double> link_share_;  // residual/active, +inf when inactive
-  /// Dense mirror of link_share_ over this solve's live links, so the
-  /// per-round min-scan is a contiguous sweep; link_pos_ maps a link id
-  /// to its index here (only valid for the current solve's live links).
-  std::vector<double> fill_shares_;
-  std::vector<std::uint32_t> link_pos_;
-  std::vector<std::uint32_t> fill_flows_;  // per-round unfrozen worklist
-  /// Flows whose rate changed bits in the current solve — the only ones
-  /// whose heap projections need refreshing afterwards.
+  /// Scratch for the solver (persists across calls so a solve allocates
+  /// nothing once warm).
+  std::uint64_t solve_gen_ = 0;
+  std::vector<LinkId> comp_links_;  // the component's links
+  std::vector<LinkId> fill_links_;  // component links with unfrozen flows
+  std::vector<LinkId> min_links_;   // links at the current round's share
+  /// Flows whose rate changed in the current solve — the only ones whose
+  /// heap projections need refreshing afterwards.
   std::vector<std::uint32_t> changed_slots_;
 
   /// Scratch for next_event's reprojection window: slots popped near the
   /// heap top whose times are recomputed fresh before being re-pushed.
   std::vector<std::uint32_t> reproject_scratch_;
-
-  /// Active flows in FlowId order (ids are monotonic, so push_back keeps
-  /// the order). Entries for retired flows — recognisable because the
-  /// slot was freed or reused under a new id — are swept out lazily at
-  /// the start of each incremental solve.
-  struct ActiveRef {
-    FlowId id;
-    std::uint32_t slot;
-  };
-  std::vector<ActiveRef> active_order_;
 
   /// Memoized next_event() answer: the kernel peeks the next completion
   /// on every scheduling iteration, but the answer can only change when
@@ -243,15 +257,8 @@ class FluidNetwork {
   bool next_cache_valid_ = false;
   std::optional<util::SimTime> next_cache_;
 
-  /// Scratch for the oracle solver, reused across calls so repeated
-  /// whole-network solves stop reallocating routes/caps every time.
-  std::vector<std::uint32_t> oracle_order_;
-  std::vector<FlowRoute> oracle_routes_;
-  std::vector<double> oracle_caps_;
-
   util::SimTime now_ = 0;
   bool rates_dirty_ = false;
-  SolverMode solver_mode_ = SolverMode::kIncremental;
   FlowId next_id_ = 0;
   NetworkStats stats_;
 };

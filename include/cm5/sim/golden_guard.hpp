@@ -6,9 +6,9 @@
 /// Golden tests accept CM5_REGEN_GOLDEN=1 to rewrite their committed
 /// reference files from the current run. That is only sound when the
 /// run uses the canonical configuration: goldens regenerated under an
-/// experimental knob (thread-oracle backend, multi-lane execution, the
-/// reference rate solver, a sanitizer build that pins the backend) would
-/// silently bake that configuration's output in as "the truth" — and
+/// experimental knob (thread-oracle backend, multi-lane execution, a
+/// sanitizer build that pins the backend) would silently bake that
+/// configuration's output in as "the truth" — and
 /// because those configurations are result-invariant *by contract*, a
 /// contract bug would be laundered into the goldens instead of caught.
 
@@ -18,8 +18,8 @@ namespace cm5::sim {
 /// not "0"). Throws std::runtime_error — failing the test rather than
 /// rewriting the golden — if regeneration is requested while any
 /// non-default execution configuration is active: CM5_EXEC_THREADS=1,
-/// CM5_LANES > 1, CM5_SOLVER_ORACLE=1, or a build that pins execution
-/// to threads (ThreadSanitizer).
+/// CM5_LANES > 1, or a build that pins execution to threads
+/// (ThreadSanitizer).
 bool golden_regen_requested();
 
 }  // namespace cm5::sim

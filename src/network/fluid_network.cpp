@@ -32,29 +32,18 @@ FluidNetwork::FluidNetwork(const FatTreeTopology& topo) : topo_(topo) {
   stats_.bytes_by_level.assign(static_cast<std::size_t>(topo_.levels()) + 1, 0.0);
   stats_.bytes_by_link.assign(num_links, 0.0);
   stats_.link_busy_seconds.assign(num_links, 0.0);
-  link_load_.assign(num_links, 0.0);
+  links_.resize(num_links);
+  for (std::size_t l = 0; l < num_links; ++l) {
+    links_[l].capacity =
+        capacity_units(topo_.link(static_cast<LinkId>(l)).capacity);
+  }
   capacity_scale_.assign(num_links, 1.0);
-  flows_on_link_.assign(num_links, 0);
-  link_dirty_.assign(num_links, 0);
-  link_stamp_.assign(num_links, 0);
-  residual_.assign(num_links, 0.0);
-  active_on_link_.assign(num_links, 0);
-  link_share_.assign(num_links, 0.0);
-  link_pos_.assign(num_links, 0);
-}
-
-void FluidNetwork::set_solver_mode(SolverMode mode) {
-  // A pending re-solve with no active flows is harmless (both solvers
-  // just zero the dirty links' loads), so idle == no active flows.
-  CM5_CHECK_MSG(active_count_ == 0,
-                "solver mode can only change while the network is idle");
-  solver_mode_ = mode;
 }
 
 void FluidNetwork::mark_dirty(LinkId l) {
-  auto& flag = link_dirty_[static_cast<std::size_t>(l)];
-  if (!flag) {
-    flag = 1;
+  auto& dirty = links_[static_cast<std::size_t>(l)].dirty;
+  if (!dirty) {
+    dirty = true;
     dirty_links_.push_back(l);
   }
 }
@@ -66,7 +55,9 @@ void FluidNetwork::set_link_capacity_scale(util::SimTime now, LinkId link,
   CM5_CHECK_MSG(scale >= 0.0, "capacity scale must be non-negative");
   if (rates_dirty_) resolve_rates();
   progress_to(now);
-  capacity_scale_[static_cast<std::size_t>(link)] = scale;
+  const auto l = static_cast<std::size_t>(link);
+  capacity_scale_[l] = scale;
+  links_[l].capacity = capacity_units(topo_.link(link).capacity, scale);
   mark_dirty(link);
   rates_dirty_ = true;
 }
@@ -80,21 +71,20 @@ void FluidNetwork::progress_to(util::SimTime t) {
   if (dt > 0.0) {
     next_cache_valid_ = false;
     if (rates_dirty_) resolve_rates();
-    for (Slot& f : slots_) {
-      if (!f.live) continue;
+    for (const std::uint32_t si : active_slots_) {
+      Slot& f = slots_[si];
       f.bytes_remaining = std::max(0.0, f.bytes_remaining - f.rate * dt);
     }
-    // Only links on a live flow's route can carry load: rates were just
-    // resolved above if anything was dirty, and a resolve both compacts
-    // live_links_ and zeroes the load of every link that lost its flows.
+    // Only links on a live flow's route can carry load, and rates were
+    // just resolved above if anything was dirty.
     for (const LinkId link : live_links_) {
-      const auto l = static_cast<std::size_t>(link);
-      if (link_load_[l] <= 0.0) continue;
-      const double cap = topo_.link(link).capacity * capacity_scale_[l];
-      // A stalled link (capacity scaled to 0) carries no fluid at all —
-      // it is idle, not saturated, so it contributes no busy time.
-      if (cap <= 0.0) continue;
-      stats_.link_busy_seconds[l] += dt * std::min(1.0, link_load_[l] / cap);
+      const LinkState& ls = links_[static_cast<std::size_t>(link)];
+      // A link with no load carries no fluid; that includes a stalled
+      // link (capacity scaled to 0), which is idle, not saturated.
+      if (ls.load <= 0) continue;
+      stats_.link_busy_seconds[static_cast<std::size_t>(link)] +=
+          dt * std::min(1.0, static_cast<double>(ls.load) /
+                                 static_cast<double>(ls.capacity));
     }
   }
   now_ = t;
@@ -125,20 +115,26 @@ FlowId FluidNetwork::start_flow(util::SimTime now, NodeId src, NodeId dst,
   f.src = src;
   f.dst = dst;
   f.bytes_remaining = wire_bytes;
+  f.rate_units = 0;
   f.rate = 0.0;
   f.route_len = static_cast<std::uint8_t>(
       topo_.route_into(src, dst, f.route_links.data()));
   f.heap_time = kNoHeapEntry;
   f.live = true;
-  ++active_count_;
-  active_order_.push_back(ActiveRef{id, si});  // ids grow: stays sorted
+  f.active_pos = static_cast<std::uint32_t>(active_slots_.size());
+  active_slots_.push_back(si);
 
   rates_dirty_ = true;
   ++stats_.flows_started;
-  for (LinkId l : f.route()) {
-    if (flows_on_link_[static_cast<std::size_t>(l)]++ == 0) {
+  for (std::uint32_t h = 0; h < f.route_len; ++h) {
+    const LinkId l = f.route_links[h];
+    LinkState& ls = links_[static_cast<std::size_t>(l)];
+    if (ls.flows.empty()) {
+      ls.live_pos = static_cast<std::uint32_t>(live_links_.size());
       live_links_.push_back(l);
     }
+    f.link_pos[h] = static_cast<std::uint32_t>(ls.flows.size());
+    ls.flows.push_back({si, h});
     mark_dirty(l);
     stats_.bytes_by_link[static_cast<std::size_t>(l)] += wire_bytes;
     stats_.bytes_by_level[static_cast<std::size_t>(topo_.link_level(l))] +=
@@ -176,229 +172,130 @@ void FluidNetwork::refresh_heap_entry(std::uint32_t si) {
 }
 
 void FluidNetwork::compact_heap() {
-  if (heap_.size() <= 64 || heap_.size() <= 4 * active_count_ + 64) return;
+  if (heap_.size() <= 64 || heap_.size() <= 4 * active_slots_.size() + 64) {
+    return;
+  }
   std::erase_if(heap_,
                 [this](const HeapEntry& e) { return !heap_entry_valid(e); });
   std::make_heap(heap_.begin(), heap_.end(), heap_later);
 }
 
+void FluidNetwork::reach_link(LinkId l) {
+  auto& gen = links_[static_cast<std::size_t>(l)].gen;
+  if (gen == solve_gen_) return;
+  gen = solve_gen_;
+  comp_links_.push_back(l);
+}
+
+std::size_t FluidNetwork::collect_link(LinkId link) {
+  std::size_t added = 0;
+  for (const LinkEntry e : links_[static_cast<std::size_t>(link)].flows) {
+    Slot& f = slots_[e.slot];
+    if (f.visit_gen == solve_gen_) continue;
+    f.visit_gen = solve_gen_;
+    f.frozen = false;
+    ++added;
+    for (const LinkId next : f.route()) reach_link(next);
+  }
+  return added;
+}
+
+void FluidNetwork::freeze(std::uint32_t si, RateUnits share) {
+  Slot& f = slots_[si];
+  f.frozen = true;
+  if (f.rate_units != share) {
+    f.rate_units = share;
+    f.rate = rate_from_units(share);
+    changed_slots_.push_back(si);
+  }
+  for (const LinkId link : f.route()) {
+    LinkState& ls = links_[static_cast<std::size_t>(link)];
+    ls.residual -= share;
+    ls.load += share;
+    --ls.unfrozen;
+    ls.share = -1;
+  }
+}
+
 void FluidNetwork::resolve_rates() {
   if (!rates_dirty_) return;
   next_cache_valid_ = false;
-  if (solver_mode_ == SolverMode::kOracle) {
-    resolve_oracle();
-  } else {
-    resolve_incremental();
-  }
-  for (LinkId l : dirty_links_) link_dirty_[static_cast<std::size_t>(l)] = 0;
-  dirty_links_.clear();
-  compact_heap();
-  rates_dirty_ = false;
-  ++stats_.rate_solves;
-}
-
-void FluidNetwork::resolve_incremental() {
-  // Re-freeze every active flow, incrementally. One could hope to
-  // restrict the solve to the connected component of the flow/link
-  // sharing graph reachable from the dirtied links — the *exact* rates
-  // of flows outside it cannot change — but the reference algorithm's
-  // freeze tolerance couples even link-disjoint flows: a flow freezes
-  // when one of its links' fair share is within 1e-12 of the round
-  // share, and the round share is a *global* minimum that may come from
-  // an unrelated link. A restricted solve therefore drifts from the
-  // whole-network solve in the last ulp, which is enough to move a
-  // ceil'd completion time by 1 ns and desynchronise an exchange. So
-  // the fast path keeps the global round structure and wins instead on
-  // bookkeeping: the FlowId-ordered active list and flow→link adjacency
-  // persist across solves, only links actually carrying traffic are
-  // scanned, and nothing allocates once warm.
-  // Sweep the active list: drop retired entries (freed or reused slots)
-  // in place. FlowIds are monotonic and the sweep is stable, so the list
-  // stays in FlowId order — the order the reference solve processes
-  // flows in.
+  // Exact arithmetic makes a component's max-min allocation independent
+  // of everything outside it, so only the flows reachable from the
+  // dirtied links (link -> its flows -> their links ...) are re-filled;
+  // every other flow's rate, link loads and heap entry stay as they are.
+  ++solve_gen_;
+  comp_links_.clear();
+  fill_links_.clear();
   changed_slots_.clear();
-  std::size_t live_count = 0;
-  for (const ActiveRef ref : active_order_) {
-    const Slot& f = slots_[ref.slot];
-    if (!f.live || f.id != ref.id) continue;
-    active_order_[live_count++] = ref;
+  for (const LinkId l : dirty_links_) {
+    links_[static_cast<std::size_t>(l)].dirty = false;
+    reach_link(l);
   }
-  active_order_.resize(live_count);
+  dirty_links_.clear();
+  std::size_t comp_flows = 0;
+  for (std::size_t i = 0; i < comp_links_.size(); ++i) {
+    comp_flows += collect_link(comp_links_[i]);
+  }
+  for (const LinkId link : comp_links_) {
+    LinkState& ls = links_[static_cast<std::size_t>(link)];
+    // A link that lost its last flow is here too (it was dirtied), so
+    // its load drops to zero.
+    ls.load = 0;
+    ls.residual = ls.capacity;
+    ls.unfrozen = static_cast<std::int64_t>(ls.flows.size());
+    ls.share = -1;
+    if (ls.unfrozen > 0) fill_links_.push_back(link);
+  }
 
-  // Sweep the live-link list likewise: drop links whose flows have all
-  // retired, and duplicates left by repeated 0→1 count transitions (the
-  // stamp marks first occurrences within this solve).
-  const std::uint64_t gen = ++stamp_gen_;
-  std::size_t live_link_count = 0;
-  for (const LinkId l : live_links_) {
-    const auto li = static_cast<std::size_t>(l);
-    if (flows_on_link_[li] == 0 || link_stamp_[li] == gen) continue;
-    link_stamp_[li] = gen;
-    live_links_[live_link_count++] = l;
-  }
-  live_links_.resize(live_link_count);
-
-  // link_share_ caches residual/active for every link that still has
-  // unfrozen flows, updated with the reference algorithm's exact
-  // expression on every mutation, so both the min-scan and the per-flow
-  // bottleneck checks below read a double that is bit-identical to
-  // recomputing the division in place (links without unfrozen flows hold
-  // +inf, which neither wins a min nor passes a <= tolerance check).
-  // fill_shares_ mirrors the same values densely — one entry per live
-  // link, kept in sync through link_pos_ — so the per-round min-scan is
-  // a straight (vectorizable) sweep over a contiguous double array
-  // instead of a gather through the link-indexed tables.
-  fill_shares_.resize(live_links_.size());
-  for (std::size_t i = 0; i < live_links_.size(); ++i) {
-    const auto li = static_cast<std::size_t>(live_links_[i]);
-    residual_[li] = topo_.link(live_links_[i]).capacity * capacity_scale_[li];
-    active_on_link_[li] = flows_on_link_[li];
-    link_share_[li] = residual_[li] / active_on_link_[li];
-    fill_shares_[i] = link_share_[li];
-    link_pos_[li] = static_cast<std::uint32_t>(i);
-  }
-  fill_flows_.resize(active_order_.size());
-  for (std::uint32_t k = 0; k < active_order_.size(); ++k) fill_flows_[k] = k;
-  const std::size_t num_links = fill_shares_.size();
-  std::size_t unfrozen = active_order_.size();
+  // Progressive filling over the component.
+  std::size_t unfrozen = comp_flows;
   while (unfrozen > 0) {
-    // Most constrained link: minimum fair share among links with traffic.
-    // Links whose flows all froze hold +inf and never win. The shares
-    // are non-negative and NaN-free, so the minimum is order-independent
-    // down to the bit; the 4-way unroll only breaks the dependency chain
-    // (the compiler will not reorder a conditional FP min itself).
-    double m0 = std::numeric_limits<double>::infinity();
-    double m1 = m0, m2 = m0, m3 = m0;
-    std::size_t j = 0;
-    for (; j + 4 <= num_links; j += 4) {
-      m0 = std::min(m0, fill_shares_[j]);
-      m1 = std::min(m1, fill_shares_[j + 1]);
-      m2 = std::min(m2, fill_shares_[j + 2]);
-      m3 = std::min(m3, fill_shares_[j + 3]);
+    // The round's share is the minimum over links with unfrozen flows;
+    // collect the links exactly at it, dropping links with none left.
+    RateUnits share = std::numeric_limits<RateUnits>::max();
+    min_links_.clear();
+    std::size_t kept = 0;
+    for (const LinkId link : fill_links_) {
+      LinkState& ls = links_[static_cast<std::size_t>(link)];
+      if (ls.unfrozen == 0) continue;
+      fill_links_[kept++] = link;
+      if (ls.share < 0) ls.share = ls.residual / ls.unfrozen;
+      if (ls.share < share) {
+        share = ls.share;
+        min_links_.clear();
+      }
+      if (ls.share == share) min_links_.push_back(link);
     }
-    for (; j < num_links; ++j) m0 = std::min(m0, fill_shares_[j]);
-    double share = std::min(std::min(m0, m1), std::min(m2, m3));
-    CM5_CHECK_MSG(share < std::numeric_limits<double>::infinity(),
-                  "unfrozen flow with no active link");
-    if (share < 0.0) share = 0.0;  // guard against FP round-down of residuals
-    const double tol = share * (1.0 + 1e-12);
+    fill_links_.resize(kept);
+    CM5_CHECK_MSG(!min_links_.empty(), "unfrozen flow with no active link");
+    // Freeze every unfrozen flow on those links. Freezing at `share`
+    // never drops another link's share to `share`, so the set frozen
+    // this round, and every integer update, is order-independent.
+    for (const LinkId link : min_links_) {
+      for (const LinkEntry e : links_[static_cast<std::size_t>(link)].flows) {
+        if (slots_[e.slot].frozen) continue;
+        freeze(e.slot, share);
+        --unfrozen;
+      }
+    }
+  }
+  stats_.flows_refilled += static_cast<std::int64_t>(comp_flows);
 
-    // Freeze every flow whose path touches a link at exactly this share.
-    // The scan is sequential by construction — an earlier freeze in the
-    // round updates the shares later flows are checked against — and the
-    // compaction is stable, so unfrozen flows are always visited in
-    // FlowId order, exactly as the reference does.
-    bool froze_any = false;
-    std::size_t wf = 0;
-    for (std::size_t i = 0; i < unfrozen; ++i) {
-      const std::uint32_t k = fill_flows_[i];
-      Slot& f = slots_[active_order_[k].slot];
-      bool bottlenecked = false;
-      for (LinkId l : f.route()) {
-        if (link_share_[static_cast<std::size_t>(l)] <= tol) {
-          bottlenecked = true;
-          break;
-        }
-      }
-      if (!bottlenecked) {
-        fill_flows_[wf++] = k;
-        continue;
-      }
-      if (f.rate != share) {
-        f.rate = share;
-        changed_slots_.push_back(active_order_[k].slot);
-      }
-      froze_any = true;
-      for (LinkId l : f.route()) {
-        const auto li = static_cast<std::size_t>(l);
-        residual_[li] -= share;
-        if (residual_[li] < 0.0) residual_[li] = 0.0;
-        const std::int32_t remaining = --active_on_link_[li];
-        link_share_[li] = remaining > 0
-                              ? residual_[li] / remaining
-                              : std::numeric_limits<double>::infinity();
-        fill_shares_[link_pos_[li]] = link_share_[li];
-      }
-    }
-    unfrozen = wf;
-    CM5_CHECK_MSG(froze_any, "progressive filling failed to make progress");
-  }
-
-  // Rebuild link loads, in FlowId order so the partial sums match a
-  // whole-network rebuild. Dirtied links not on any active route (for
-  // example a link whose last flow just retired) must drop to zero.
-  for (LinkId l : dirty_links_) {
-    link_load_[static_cast<std::size_t>(l)] = 0.0;
-  }
-  for (LinkId l : live_links_) {
-    link_load_[static_cast<std::size_t>(l)] = 0.0;
-  }
-  for (const ActiveRef ref : active_order_) {
-    const Slot& f = slots_[ref.slot];
-    for (LinkId l : f.route()) {
-      link_load_[static_cast<std::size_t>(l)] += f.rate;
-    }
-  }
-  // Refresh projections only for flows whose rate actually changed bits.
-  // A flow whose rate is bit-unchanged progressed linearly at that rate
+  // Refresh projections only for flows whose rate actually changed.
+  // A flow whose rate is unchanged progressed linearly at that rate
   // since its entry was pushed, so the cached projection still describes
   // the same real-valued completion instant and stays within
   // kProjectionSlackNs of a fresh one — exactly the invariant
   // next_event()'s reprojection window is built on.
   for (const std::uint32_t si : changed_slots_) refresh_heap_entry(si);
-}
-
-void FluidNetwork::resolve_oracle() {
-  // The seed whole-network solve: every active flow, every link, from
-  // scratch via solve_max_min. Kept as the reference oracle for
-  // differential testing of the incremental path. Scratch vectors are
-  // members so repeated solves allocate nothing once warm.
-  // progress_to's busy accounting walks live_links_ and assumes each
-  // solve leaves it duplicate-free, so sweep it here exactly as the
-  // incremental solve does.
-  const std::uint64_t gen = ++stamp_gen_;
-  std::size_t live_link_count = 0;
-  for (const LinkId l : live_links_) {
-    const auto li = static_cast<std::size_t>(l);
-    if (flows_on_link_[li] == 0 || link_stamp_[li] == gen) continue;
-    link_stamp_[li] = gen;
-    live_links_[live_link_count++] = l;
-  }
-  live_links_.resize(live_link_count);
-
-  oracle_order_.clear();
-  oracle_order_.reserve(active_count_);
-  for (std::uint32_t si = 0; si < slots_.size(); ++si) {
-    if (slots_[si].live) oracle_order_.push_back(si);
-  }
-  std::sort(oracle_order_.begin(), oracle_order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].id < slots_[b].id;
-            });
-  oracle_caps_.resize(static_cast<std::size_t>(topo_.num_links()));
-  for (std::int32_t l = 0; l < topo_.num_links(); ++l) {
-    oracle_caps_[static_cast<std::size_t>(l)] =
-        topo_.link(l).capacity * capacity_scale_[static_cast<std::size_t>(l)];
-  }
-  oracle_routes_.clear();
-  oracle_routes_.reserve(oracle_order_.size());
-  for (std::uint32_t si : oracle_order_) {
-    oracle_routes_.push_back(FlowRoute{slots_[si].route()});
-  }
-  const std::vector<double> rates = solve_max_min(oracle_routes_, oracle_caps_);
-  std::fill(link_load_.begin(), link_load_.end(), 0.0);
-  for (std::size_t i = 0; i < oracle_order_.size(); ++i) {
-    Slot& f = slots_[oracle_order_[i]];
-    f.rate = rates[i];
-    for (LinkId l : f.route()) {
-      link_load_[static_cast<std::size_t>(l)] += f.rate;
-    }
-  }
-  for (std::uint32_t si : oracle_order_) refresh_heap_entry(si);
+  compact_heap();
+  rates_dirty_ = false;
+  ++stats_.rate_solves;
 }
 
 std::optional<util::SimTime> FluidNetwork::next_event() {
-  if (active_count_ == 0) return std::nullopt;
+  if (active_slots_.empty()) return std::nullopt;
   resolve_rates();
   // The kernel peeks this on every scheduling iteration; the answer can
   // only change when time advances or rates are re-solved.
@@ -473,14 +370,30 @@ std::optional<util::SimTime> FluidNetwork::next_event() {
 
 void FluidNetwork::retire_slot(std::uint32_t si) {
   Slot& f = slots_[si];
-  for (LinkId l : f.route()) {
-    --flows_on_link_[static_cast<std::size_t>(l)];
+  for (std::uint32_t h = 0; h < f.route_len; ++h) {
+    const LinkId l = f.route_links[h];
+    LinkState& ls = links_[static_cast<std::size_t>(l)];
+    // Swap-remove: the last entry takes this flow's place.
+    const std::uint32_t pos = f.link_pos[h];
+    const LinkEntry moved = ls.flows.back();
+    ls.flows[pos] = moved;
+    slots_[moved.slot].link_pos[moved.hop] = pos;
+    ls.flows.pop_back();
+    if (ls.flows.empty()) {
+      const LinkId last = live_links_.back();
+      live_links_[ls.live_pos] = last;
+      links_[static_cast<std::size_t>(last)].live_pos = ls.live_pos;
+      live_links_.pop_back();
+    }
     mark_dirty(l);
   }
   f.live = false;
   ++f.epoch;  // invalidate any outstanding heap entry
   f.heap_time = kNoHeapEntry;
-  --active_count_;
+  const std::uint32_t last = active_slots_.back();
+  active_slots_[f.active_pos] = last;
+  slots_[last].active_pos = f.active_pos;
+  active_slots_.pop_back();
   free_slots_.push_back(si);
 }
 

@@ -24,8 +24,6 @@ bool golden_regen_requested() {
     reason = "CM5_EXEC_THREADS selects the thread-oracle backend";
   } else if (execution_lanes() > 1) {
     reason = "CM5_LANES selects multi-lane execution";
-  } else if (env_set("CM5_SOLVER_ORACLE")) {
-    reason = "CM5_SOLVER_ORACLE selects the reference rate solver";
   } else if (execution_model_pinned_to_threads()) {
     reason = "this build pins execution to threads (sanitizer)";
   }
@@ -33,7 +31,7 @@ bool golden_regen_requested() {
     throw std::runtime_error(
         std::string("CM5_REGEN_GOLDEN refused: ") + reason +
         "; goldens must be regenerated under the default configuration "
-        "(unset CM5_EXEC_THREADS/CM5_LANES/CM5_SOLVER_ORACLE and use a "
+        "(unset CM5_EXEC_THREADS/CM5_LANES and use a "
         "plain build)");
   }
   return true;

@@ -1,7 +1,6 @@
 #include "cm5/sim/kernel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "cm5/util/check.hpp"
@@ -1073,13 +1072,6 @@ RunResult Kernel::run(const NodeProgram& program) {
   CM5_CHECK(n >= 1);
 
   fluid_ = std::make_unique<net::FluidNetwork>(topo_);
-  // CM5_SOLVER_ORACLE=1 swaps in the reference whole-network rate solver
-  // for every run — a differential lever for bisecting any suspected
-  // fast-path divergence without recompiling (see docs/PERF.md §2).
-  if (const char* mode = std::getenv("CM5_SOLVER_ORACLE");
-      mode != nullptr && mode[0] == '1' && mode[1] == '\0') {
-    fluid_->set_solver_mode(net::FluidNetwork::SolverMode::kOracle);
-  }
   nodes_.assign(static_cast<std::size_t>(n), NodeState{});
   send_queues_.assign(static_cast<std::size_t>(n), {});
   pending_swaps_.clear();

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <ostream>
+#include <utility>
+#include <vector>
+
+#include "cm5/net/maxmin.hpp"
 #include "cm5/util/check.hpp"
 #include "cm5/util/time.hpp"
 
@@ -200,41 +207,71 @@ TEST(FluidTest, DegradedLinkSlowsAndRestores) {
   EXPECT_EQ(net.advance_to(*t).size(), 1u);
 }
 
-TEST(FluidTest, OracleModeMatchesIncrementalExactly) {
-  // The kOracle whole-network solver and the default incremental solver
-  // must agree bit-for-bit on a contended scenario with a mid-run fault.
-  auto drive = [](FluidNetwork::SolverMode mode) {
-    FatTreeTopology topo(FatTreeConfig::cm5(32));
-    FluidNetwork net(topo);
-    net.set_solver_mode(mode);
-    for (NodeId n = 0; n < 16; ++n) {
-      net.start_flow(0, n, static_cast<NodeId>(n + 16), 5000.0);
-    }
-    net.set_link_capacity_scale(from_us(100), net.topology().up_link(1, 0),
-                                0.25);
-    std::vector<SimTime> completions;
-    while (const auto t = net.next_event()) {
-      for (const FlowId id : net.advance_to(*t)) {
-        (void)id;
-        completions.push_back(*t);
-      }
-    }
-    return completions;
-  };
-  const auto inc = drive(FluidNetwork::SolverMode::kIncremental);
-  const auto ora = drive(FluidNetwork::SolverMode::kOracle);
-  EXPECT_EQ(inc, ora);
+/// Rates, in bytes/s, that the reference solve_max_min gives flows
+/// between the (src, dst) pairs `ends` on `topo`, with each link's
+/// capacity scaled by `scale[link]`.
+std::vector<double> reference_rates(
+    const FatTreeTopology& topo,
+    const std::vector<std::pair<NodeId, NodeId>>& ends,
+    const std::vector<double>& scale) {
+  std::vector<RateUnits> caps;
+  for (LinkId l = 0; l < topo.num_links(); ++l) {
+    caps.push_back(capacity_units(topo.link(l).capacity,
+                                  scale[static_cast<std::size_t>(l)]));
+  }
+  std::vector<std::vector<LinkId>> routes;
+  for (const auto& [src, dst] : ends) {
+    const auto r = topo.route(src, dst);
+    routes.emplace_back(r.begin(), r.end());
+  }
+  std::vector<FlowRoute> flows;
+  for (const auto& r : routes) flows.push_back(FlowRoute{r});
+  std::vector<double> rates;
+  for (const RateUnits u : solve_max_min(flows, caps)) {
+    rates.push_back(rate_from_units(u));
+  }
+  return rates;
 }
 
-TEST(FluidTest, SolverModeSwitchRequiresIdleNetwork) {
+TEST(FluidTest, RatesMatchReferenceSolverExactly) {
+  // After every operation of a contended scenario with mid-run faults,
+  // each live flow's rate equals, bit for bit, what the reference
+  // solve_max_min gives over the same routes and scaled capacities.
   FatTreeTopology topo(FatTreeConfig::cm5(32));
   FluidNetwork net(topo);
-  net.start_flow(0, 0, 1, 100.0);
-  EXPECT_THROW(net.set_solver_mode(FluidNetwork::SolverMode::kOracle),
-               util::CheckError);
-  while (const auto t = net.next_event()) net.advance_to(*t);
-  net.set_solver_mode(FluidNetwork::SolverMode::kOracle);
-  EXPECT_EQ(net.solver_mode(), FluidNetwork::SolverMode::kOracle);
+  std::vector<double> scale(static_cast<std::size_t>(topo.num_links()), 1.0);
+  std::vector<std::pair<FlowId, std::pair<NodeId, NodeId>>> live;
+  const auto expect_reference = [&](const char* after) {
+    std::vector<std::pair<NodeId, NodeId>> ends;
+    for (const auto& [id, e] : live) ends.push_back(e);
+    const std::vector<double> want = reference_rates(topo, ends, scale);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(net.flow_rate(live[i].first), want[i])
+          << "after " << after << ", flow " << live[i].first;
+    }
+  };
+  const auto degrade = [&](SimTime t, LinkId l, double s) {
+    net.set_link_capacity_scale(t, l, s);
+    scale[static_cast<std::size_t>(l)] = s;
+  };
+
+  for (NodeId n = 0; n < 16; ++n) {
+    const auto dst = static_cast<NodeId>(n % 3 == 0 ? 17 : n + 16);
+    live.push_back({net.start_flow(0, n, dst, 1000.0 * (n + 1)), {n, dst}});
+  }
+  expect_reference("start");
+  degrade(from_us(100), topo.up_link(1, 0), 0.25);
+  expect_reference("degrade");
+  degrade(from_us(150), topo.eject_link(17), 1.0 / 3.0);
+  expect_reference("second degrade");
+  while (const auto t = net.next_event()) {
+    const std::vector<FlowId> done = net.advance_to(*t);
+    std::erase_if(live, [&done](const auto& f) {
+      return std::find(done.begin(), done.end(), f.first) != done.end();
+    });
+    expect_reference("completion");
+  }
+  EXPECT_TRUE(live.empty());
 }
 
 TEST(FluidTest, FlowRateReflectsSharing) {
@@ -265,6 +302,218 @@ TEST(FluidTest, ManyFlowsConservation) {
   EXPECT_EQ(completed, 64u);
   EXPECT_EQ(net.stats().flows_completed, 64);
   EXPECT_DOUBLE_EQ(net.stats().bytes_by_level[0], 2.0 * injected);
+}
+
+
+// --- disjoint union: link-disjoint flow sets solve independently -----------
+
+/// One flow of a scenario: src -> dst, `bytes`, started at `start`.
+struct FlowSpec {
+  NodeId src;
+  NodeId dst;
+  double bytes;
+  SimTime start;
+};
+
+using Degrades = std::vector<std::pair<LinkId, double>>;
+
+/// Per flow: every (time, rate) at which its rate changed, and its
+/// completion time.
+struct FlowHistory {
+  std::vector<std::pair<SimTime, double>> rates;
+  SimTime finish = -1;
+  bool operator==(const FlowHistory&) const = default;
+  friend void PrintTo(const FlowHistory& h, std::ostream* os) {
+    *os << "{finish " << h.finish << " ns, rates";
+    for (const auto& [t, rate] : h.rates) {
+      *os << " " << rate << " B/s from " << t << " ns;";
+    }
+    *os << "}";
+  }
+};
+
+/// A live flow of a run: its id and its index in the scenario.
+using LiveFlows = std::vector<std::pair<FlowId, std::size_t>>;
+
+/// Runs `specs` (in start order) on a fresh 32-node network whose listed
+/// links are degraded at time 0, recording each flow's rate after every
+/// batch of starts or completions. `after_event` sees the network and
+/// its live flows at each of those points.
+std::vector<FlowHistory> run_flows(
+    const std::vector<FlowSpec>& specs, const Degrades& degrades,
+    const std::function<void(FluidNetwork&, const LiveFlows&)>& after_event =
+        nullptr) {
+  const FatTreeTopology topo(FatTreeConfig::cm5(32));
+  FluidNetwork net(topo);
+  for (const auto& [link, scale] : degrades) {
+    net.set_link_capacity_scale(0, link, scale);
+  }
+  std::vector<FlowHistory> out(specs.size());
+  LiveFlows live;
+  std::size_t next = 0;
+  for (;;) {
+    const std::optional<SimTime> done_at = net.next_event();
+    SimTime t;
+    if (next < specs.size() && (!done_at || specs[next].start <= *done_at)) {
+      t = specs[next].start;
+      for (; next < specs.size() && specs[next].start == t; ++next) {
+        const FlowSpec& f = specs[next];
+        live.push_back({net.start_flow(t, f.src, f.dst, f.bytes), next});
+      }
+    } else if (done_at) {
+      t = *done_at;
+      const std::vector<FlowId> done = net.advance_to(t);
+      std::erase_if(live, [&](const auto& f) {
+        if (std::find(done.begin(), done.end(), f.first) == done.end()) {
+          return false;
+        }
+        out[f.second].finish = t;
+        return true;
+      });
+    } else {
+      break;
+    }
+    for (const auto& [id, i] : live) {
+      const double rate = net.flow_rate(id);
+      if (out[i].rates.empty() || out[i].rates.back().second != rate) {
+        out[i].rates.push_back({t, rate});
+      }
+    }
+    if (after_event) after_event(net, live);
+  }
+  return out;
+}
+
+TEST(FluidTest, DisjointSubtreesSolveIndependently) {
+  // Two contended flow sets confined to the two 16-node subtrees of a
+  // 32-node tree share no link; staggered starts and sizes give each set
+  // many rate changes, and one link of each set is degraded. After every
+  // event of the joint run, each live flow's rate must equal, bit for
+  // bit, the reference solve over the live flows of its own set alone.
+  const FatTreeTopology topo(FatTreeConfig::cm5(32));
+  std::vector<FlowSpec> specs;
+  for (NodeId n = 0; n < 16; ++n) {
+    specs.push_back({n, static_cast<NodeId>((n + 5) % 16), 700.0 * (n + 1),
+                     from_us(7 * (n % 4))});
+    specs.push_back({static_cast<NodeId>(16 + n),
+                     static_cast<NodeId>(16 + (n * 3 + 1) % 16),
+                     1100.0 * (n % 5 + 1), from_us(11 * (n % 3))});
+  }
+  std::stable_sort(specs.begin(), specs.end(),
+                   [](const FlowSpec& x, const FlowSpec& y) {
+                     return x.start < y.start;
+                   });
+  const Degrades degrades = {{topo.up_link(1, 4), 0.3},
+                             {topo.eject_link(20), 1.0 / 3.0}};
+  std::vector<double> scale(static_cast<std::size_t>(topo.num_links()), 1.0);
+  for (const auto& [link, s] : degrades) {
+    scale[static_cast<std::size_t>(link)] = s;
+  }
+  int checked = 0;
+  run_flows(specs, degrades, [&](FluidNetwork& net, const LiveFlows& live) {
+    for (const bool left : {true, false}) {
+      std::vector<std::size_t> which;
+      std::vector<FlowId> ids;
+      std::vector<std::pair<NodeId, NodeId>> ends;
+      for (const auto& [id, i] : live) {
+        if ((specs[i].src < 16) == left) {
+          which.push_back(i);
+          ids.push_back(id);
+          ends.push_back({specs[i].src, specs[i].dst});
+        }
+      }
+      const std::vector<double> want = reference_rates(topo, ends, scale);
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_EQ(net.flow_rate(ids[k]), want[k])
+            << "flow " << which[k] << " (" << specs[which[k]].src << "->"
+            << specs[which[k]].dst << ")";
+        ++checked;
+      }
+    }
+  });
+  EXPECT_GT(checked, 200);
+}
+
+/// Runs sets `a` (in nodes 0-15) and `b` (in nodes 16-31), both in start
+/// order, together and each alone, and requires every flow's rate
+/// history and completion time to be identical.
+void expect_disjoint_union(const std::vector<FlowSpec>& a,
+                           const std::vector<FlowSpec>& b,
+                           const Degrades& da, const Degrades& db) {
+  std::vector<FlowSpec> both = a;
+  both.insert(both.end(), b.begin(), b.end());
+  std::stable_sort(both.begin(), both.end(),
+                   [](const FlowSpec& x, const FlowSpec& y) {
+                     return x.start < y.start;
+                   });
+  Degrades dboth = da;
+  dboth.insert(dboth.end(), db.begin(), db.end());
+  const std::vector<FlowHistory> together = run_flows(both, dboth);
+  const std::vector<FlowHistory> alone_a = run_flows(a, da);
+  const std::vector<FlowHistory> alone_b = run_flows(b, db);
+  // stable_sort kept each set's own order, so walk `both` to pair flows.
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  for (std::size_t i = 0; i < both.size(); ++i) {
+    const bool in_a = both[i].src < 16;
+    const FlowHistory& alone = in_a ? alone_a[ia++] : alone_b[ib++];
+    EXPECT_GE(together[i].finish, 0) << "flow " << i << " never finished";
+    EXPECT_EQ(together[i], alone)
+        << "flow " << i << " (" << both[i].src << "->" << both[i].dst
+        << ") differs between the union and its own set";
+  }
+}
+
+TEST(FluidTest, DisjointSubtreesStayIndependentAtANearTie) {
+  // Three flows into node 5 share its eject link at 20/3 MB/s; in the
+  // other subtree one flow crosses an eject link degraded to 1/3. In
+  // doubles the two shares differ in the last ulp, which a relative
+  // freeze tolerance treats as one round, freezing the first set at the
+  // second's share. In exact arithmetic each set gets its own rates and
+  // completion times, together or alone.
+  const FatTreeTopology topo(FatTreeConfig::cm5(32));
+  const std::vector<FlowSpec> a = {{0, 5, 20000.0, 0},
+                                   {1, 5, 20000.0, 0},
+                                   {2, 5, 20000.0, 0}};
+  const std::vector<FlowSpec> b = {{16, 20, 20000.0, 0}};
+  expect_disjoint_union(a, b, {}, {{topo.eject_link(20), 1.0 / 3.0}});
+  // The same with a degrade within 1e-13 of half speed against plain
+  // half-speed sharing: four flows out of one 4-node cluster.
+  const std::vector<FlowSpec> c = {{0, 4, 1920.0, 0},
+                                   {1, 5, 1920.0, 0},
+                                   {2, 6, 1920.0, 0},
+                                   {3, 7, 1920.0, 0}};
+  expect_disjoint_union(c, b, {},
+                        {{topo.eject_link(20), 0.5 * (1.0 - 1e-13)}});
+}
+
+TEST(FluidTest, SolveRefillsOnlyTheDirtiedComponent) {
+  const FatTreeTopology topo(FatTreeConfig::cm5(32));
+  FluidNetwork net(topo);
+  // Component X: three flows into node 5. Component Y: four flows out of
+  // the cluster of nodes 16-19, sharing its uplink.
+  for (NodeId n = 0; n < 3; ++n) net.start_flow(0, n, 5, 1e9);
+  for (NodeId n = 16; n < 20; ++n) {
+    net.start_flow(0, n, static_cast<NodeId>(n + 4), 1e9);
+  }
+  ASSERT_TRUE(net.next_event().has_value());
+  EXPECT_EQ(net.stats().flows_refilled, 7);
+  // A fourth flow into node 5 joins X: the solve re-fills X's 4 flows.
+  std::int64_t before = net.stats().flows_refilled;
+  const FlowId joiner = net.start_flow(from_us(1), 3, 5, 1e9);
+  ASSERT_TRUE(net.next_event().has_value());
+  EXPECT_EQ(net.stats().flows_refilled - before, 4);
+  // A flow that touches neither component is a component of its own.
+  before = net.stats().flows_refilled;
+  net.start_flow(from_us(2), 8, 9, 1e9);
+  ASSERT_TRUE(net.next_event().has_value());
+  EXPECT_EQ(net.stats().flows_refilled - before, 1);
+  // One Y flow bridging into X's eject link merges both: 4 + 4 + 1.
+  before = net.stats().flows_refilled;
+  net.start_flow(from_us(3), 16, 5, 1e9);
+  ASSERT_TRUE(net.next_event().has_value());
+  EXPECT_EQ(net.stats().flows_refilled - before, 9);
+  EXPECT_DOUBLE_EQ(net.flow_rate(joiner), 4e6);  // 20 MB/s over 5 flows
 }
 
 }  // namespace

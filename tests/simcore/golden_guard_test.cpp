@@ -22,7 +22,7 @@ namespace cm5::sim {
 namespace {
 
 const char* const kKnobs[] = {"CM5_REGEN_GOLDEN", "CM5_EXEC_THREADS",
-                              "CM5_LANES", "CM5_SOLVER_ORACLE"};
+                              "CM5_LANES"};
 
 /// Clears every knob the guard reads for the test body, then restores
 /// the ambient values (a CI row's configuration must survive this test
@@ -88,12 +88,6 @@ TEST_F(GoldenGuardTest, RefusesUnderMultiLaneExecution) {
   if (build_is_canonical()) {
     EXPECT_TRUE(golden_regen_requested());
   }
-}
-
-TEST_F(GoldenGuardTest, RefusesUnderSolverOracle) {
-  ASSERT_EQ(::setenv("CM5_REGEN_GOLDEN", "1", 1), 0);
-  ASSERT_EQ(::setenv("CM5_SOLVER_ORACLE", "1", 1), 0);
-  EXPECT_THROW(golden_regen_requested(), std::runtime_error);
 }
 
 TEST_F(GoldenGuardTest, RefusalNamesTheOffendingKnob) {
