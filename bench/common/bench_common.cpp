@@ -58,6 +58,7 @@ Measured measure_program(const machine::MachineParams& params,
   out.makespan = result.makespan;
   out.rate_solves = result.network.rate_solves;
   out.flows_refilled = result.network.flows_refilled;
+  out.links_refilled = result.network.links_refilled;
   out.heap_pops = result.network.heap_pops;
   out.context_switches = result.context_switches;
   out.lanes = result.lanes;
@@ -105,6 +106,7 @@ Measured measure_scheduled_pattern(const sched::CommPattern& pattern,
   out.makespan = run.result.makespan;
   out.rate_solves = run.result.network.rate_solves;
   out.flows_refilled = run.result.network.flows_refilled;
+  out.links_refilled = run.result.network.links_refilled;
   out.heap_pops = run.result.network.heap_pops;
   out.context_switches = run.result.context_switches;
   out.lanes = run.result.lanes;
@@ -234,6 +236,7 @@ void MetricsEmitter::record(const std::string& id, const Measured& run,
   perf["wall_ms"] = deterministic_mode() ? 0.0 : run.wall_ms;
   perf["rate_solves"] = run.rate_solves;
   perf["flows_refilled"] = run.flows_refilled;
+  perf["links_refilled"] = run.links_refilled;
   perf["heap_pops"] = run.heap_pops;
   perf["context_switches"] = run.context_switches;
   perf["lanes"] = static_cast<std::int64_t>(run.lanes);

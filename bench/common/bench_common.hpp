@@ -59,10 +59,11 @@ struct Measured {
   /// and CM5_BENCH_DETERMINISTIC=1 zeroes it in the JSON output.
   double wall_ms = 0.0;
   /// Solver/event-lookup work done by the fluid network for this cell
-  /// (NetworkStats::rate_solves / flows_refilled / heap_pops),
-  /// deterministic run to run.
+  /// (NetworkStats::rate_solves / flows_refilled / links_refilled /
+  /// heap_pops), deterministic run to run.
   std::int64_t rate_solves = 0;
   std::int64_t flows_refilled = 0;
+  std::int64_t links_refilled = 0;
   std::int64_t heap_pops = 0;
   /// Kernel context switches for this cell (RunResult::context_switches):
   /// fiber stack switches, or condvar wakeups under CM5_EXEC_THREADS=1.

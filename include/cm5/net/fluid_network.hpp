@@ -37,17 +37,23 @@
 ///   links through the link -> flows -> links sharing graph; every other
 ///   flow keeps its rate and heap entry untouched. Each link keeps the
 ///   list of its live flows, updated in O(1) per route link as flows
-///   start and retire. Nothing allocates once warm. solve_max_min
-///   computes the same rates bit for bit and is the tests' reference.
+///   start and retire. A link that carries a single flow cannot couple
+///   two flows: the walk and the filling rounds skip it, and its flow
+///   instead carries a private cap (the least capacity of such links on
+///   its route), which joins each round's minimum. Link loads are kept
+///   by deltas as rates change. Nothing allocates once warm.
+///   solve_max_min computes the same rates bit for bit and is the tests'
+///   reference.
 ///
 /// * A lazy min-heap of projected completion times, so next_event() is a
 ///   heap peek instead of a scan over every active flow. Entries are
 ///   invalidated by a per-flow epoch counter: each re-solve bumps the
 ///   epoch of the flows whose projection changed and pushes a fresh
 ///   entry; stale entries are discarded when they surface at the top.
-///   next_event() reprojects the entries within a small window of the
-///   heap top fresh from the current time, so the times it returns are
-///   bit-identical to the original O(F) rescan (see fluid_network.cpp).
+///   next_event() walks, without popping, the entries within a small
+///   window of the heap top and reprojects them fresh from the current
+///   time, so the times it returns are bit-identical to the original
+///   O(F) rescan (see fluid_network.cpp).
 
 namespace cm5::net {
 
@@ -73,8 +79,12 @@ struct NetworkStats {
   /// Flows re-frozen, summed over solves: the size of the component each
   /// solve re-filled (a cost metric, reported beside rate_solves).
   std::int64_t flows_refilled = 0;
-  /// Number of completion-heap pops (stale-entry discards included) — a
-  /// cost metric for the event-lookup path, reported in bench perf JSON.
+  /// Shared links (carrying two or more flows) filled, summed over
+  /// solves; single-flow links enter a solve only as private caps.
+  std::int64_t links_refilled = 0;
+  /// Number of completion-heap pops: stale entries discarded at the heap
+  /// top. next_event() reads its window without popping, so this is a
+  /// cost metric for invalidated projections, reported in bench perf JSON.
   std::int64_t heap_pops = 0;
 };
 
@@ -132,6 +142,9 @@ class FluidNetwork {
     /// Solve generation that last reached this flow, and whether that
     /// solve has frozen it yet.
     std::uint64_t visit_gen = 0;
+    /// Least capacity over the route links that carry only this flow
+    /// (kUnboundedRate if none), set when a solve reaches the flow.
+    RateUnits private_cap = kUnboundedRate;
     bool frozen = false;
     bool live = false;
     std::uint8_t route_len = 0;
@@ -175,13 +188,18 @@ class FluidNetwork {
   }
 
   void resolve_rates();
-  /// Adds a link to the component being re-filled, once per solve.
+  /// Adds a shared link to the component being re-filled, once per
+  /// solve, and resets its filling state.
   void reach_link(LinkId l);
-  /// Adds a reached link's flows to the component and reaches their
-  /// links; returns how many flows it added.
-  std::size_t collect_link(LinkId l);
-  /// Freezes one flow of the component at `share` rate units.
+  /// Adds a flow to the component, once per solve: records its private
+  /// cap and reaches its shared links. Returns whether it was new.
+  bool collect_flow(std::uint32_t si);
+  /// Freezes one flow of the component at `share` rate units, moving
+  /// its links' loads by the change in its rate.
   void freeze(std::uint32_t si, RateUnits share);
+  /// The fresh completion projection of a flow that is done or has a
+  /// positive rate.
+  util::SimTime projection(const Slot& f) const;
   /// Recomputes a slot's projected completion and (if it changed) pushes
   /// a fresh heap entry, invalidating the old one via the epoch.
   void refresh_heap_entry(std::uint32_t si);
@@ -211,14 +229,16 @@ class FluidNetwork {
     /// appends, and retiring swaps the last entry into the gap.
     std::vector<LinkEntry> flows;
     RateUnits capacity = 0;  // topology capacity x scale
-    RateUnits load = 0;      // sum of the link's flow rates
-    /// Progressive-filling state while the link is in a component:
+    /// Exact sum of the link's flow rates, moved by each rate change and
+    /// retirement rather than rebuilt per solve.
+    RateUnits load = 0;
+    /// Progressive-filling state while a shared link is in a component:
     /// residual capacity, unfrozen flows, and floor(residual / unfrozen)
     /// or -1 until recomputed after a freeze.
     RateUnits residual = 0;
     RateUnits share = -1;
     std::int64_t unfrozen = 0;
-    /// Solve generation that last reached the link.
+    /// Solve generation that last reached the link (shared links only).
     std::uint64_t gen = 0;
     /// Index in live_links_ while the link has flows.
     std::uint32_t live_pos = 0;
@@ -240,16 +260,21 @@ class FluidNetwork {
   /// Scratch for the solver (persists across calls so a solve allocates
   /// nothing once warm).
   std::uint64_t solve_gen_ = 0;
-  std::vector<LinkId> comp_links_;  // the component's links
-  std::vector<LinkId> fill_links_;  // component links with unfrozen flows
-  std::vector<LinkId> min_links_;   // links at the current round's share
+  /// The component's shared links; each round drops those with no
+  /// unfrozen flow left.
+  std::vector<LinkId> comp_links_;
+  /// The component's unfrozen flows that have a private cap.
+  std::vector<std::uint32_t> cap_slots_;
+  /// Links at the current round's share, and flows whose cap equals it.
+  std::vector<LinkId> min_links_;
+  std::vector<std::uint32_t> min_slots_;
   /// Flows whose rate changed in the current solve — the only ones whose
   /// heap projections need refreshing afterwards.
   std::vector<std::uint32_t> changed_slots_;
 
-  /// Scratch for next_event's reprojection window: slots popped near the
-  /// heap top whose times are recomputed fresh before being re-pushed.
-  std::vector<std::uint32_t> reproject_scratch_;
+  /// Scratch for next_event's walk of the heap window: indices of heap
+  /// entries still to visit.
+  std::vector<std::size_t> window_stack_;
 
   /// Memoized next_event() answer: the kernel peeks the next completion
   /// on every scheduling iteration, but the answer can only change when

@@ -1,7 +1,8 @@
 #include "cm5/mesh/halo.hpp"
 
 #include <algorithm>
-#include <set>
+#include <compare>
+#include <utility>
 
 #include "cm5/util/check.hpp"
 
@@ -52,11 +53,27 @@ std::int64_t HaloPlan::ghosts_of(PartId reader) const {
 
 namespace {
 
-std::vector<std::vector<std::vector<std::int32_t>>> empty_lists(
-    std::int32_t nparts) {
-  return std::vector<std::vector<std::vector<std::int32_t>>>(
+/// One shared entity: `id`, owned by part `owner`, read by `reader`.
+struct Share {
+  PartId owner;
+  PartId reader;
+  std::int32_t id;
+  auto operator<=>(const Share&) const = default;
+};
+
+/// The halo lists of `shares`: sorted, duplicates dropped, grouped into
+/// lists[owner][reader].
+HaloPlan plan_from(std::vector<Share> shares, std::int32_t nparts) {
+  std::sort(shares.begin(), shares.end());
+  shares.erase(std::unique(shares.begin(), shares.end()), shares.end());
+  std::vector<std::vector<std::vector<std::int32_t>>> lists(
       static_cast<std::size_t>(nparts),
       std::vector<std::vector<std::int32_t>>(static_cast<std::size_t>(nparts)));
+  for (const Share& s : shares) {
+    lists[static_cast<std::size_t>(s.owner)][static_cast<std::size_t>(s.reader)]
+        .push_back(s.id);
+  }
+  return HaloPlan(nparts, std::move(lists));
 }
 
 }  // namespace
@@ -65,53 +82,30 @@ HaloPlan build_vertex_halo(const TriMesh& mesh,
                            std::span<const PartId> vertex_part,
                            std::int32_t nparts) {
   CM5_CHECK(vertex_part.size() == static_cast<std::size_t>(mesh.num_vertices()));
-  // shared_sets[owner][reader]
-  std::vector<std::vector<std::set<std::int32_t>>> shared(
-      static_cast<std::size_t>(nparts),
-      std::vector<std::set<std::int32_t>>(static_cast<std::size_t>(nparts)));
+  std::vector<Share> shares;
   for (VertexId v = 0; v < mesh.num_vertices(); ++v) {
     const PartId owner = vertex_part[static_cast<std::size_t>(v)];
     for (VertexId u : mesh.vertex_neighbors(v)) {
       const PartId reader = vertex_part[static_cast<std::size_t>(u)];
-      if (reader != owner) {
-        shared[static_cast<std::size_t>(owner)][static_cast<std::size_t>(reader)]
-            .insert(v);
-      }
+      if (reader != owner) shares.push_back({owner, reader, v});
     }
   }
-  auto lists = empty_lists(nparts);
-  for (std::size_t o = 0; o < shared.size(); ++o) {
-    for (std::size_t r = 0; r < shared[o].size(); ++r) {
-      lists[o][r].assign(shared[o][r].begin(), shared[o][r].end());
-    }
-  }
-  return HaloPlan(nparts, std::move(lists));
+  return plan_from(std::move(shares), nparts);
 }
 
 HaloPlan build_cell_halo(const TriMesh& mesh, std::span<const PartId> cell_part,
                          std::int32_t nparts) {
   CM5_CHECK(cell_part.size() == static_cast<std::size_t>(mesh.num_triangles()));
-  std::vector<std::vector<std::set<std::int32_t>>> shared(
-      static_cast<std::size_t>(nparts),
-      std::vector<std::set<std::int32_t>>(static_cast<std::size_t>(nparts)));
+  std::vector<Share> shares;
   for (TriId t = 0; t < mesh.num_triangles(); ++t) {
     const PartId owner = cell_part[static_cast<std::size_t>(t)];
     for (TriId n : mesh.tri_neighbors(t)) {
       if (n < 0) continue;  // boundary edge
       const PartId reader = cell_part[static_cast<std::size_t>(n)];
-      if (reader != owner) {
-        shared[static_cast<std::size_t>(owner)][static_cast<std::size_t>(reader)]
-            .insert(t);
-      }
+      if (reader != owner) shares.push_back({owner, reader, t});
     }
   }
-  auto lists = empty_lists(nparts);
-  for (std::size_t o = 0; o < shared.size(); ++o) {
-    for (std::size_t r = 0; r < shared[o].size(); ++r) {
-      lists[o][r].assign(shared[o][r].begin(), shared[o][r].end());
-    }
-  }
-  return HaloPlan(nparts, std::move(lists));
+  return plan_from(std::move(shares), nparts);
 }
 
 }  // namespace cm5::mesh

@@ -1,7 +1,7 @@
 #include "cm5/mesh/mesh.hpp"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 #include <utility>
 
 #include "cm5/util/check.hpp"
@@ -37,64 +37,76 @@ std::size_t TriMesh::check_t(TriId t) const {
 }
 
 void TriMesh::build_adjacency() {
-  // Edge map: (lo, hi) -> triangles using the edge.
-  std::map<std::pair<VertexId, VertexId>, std::array<TriId, 2>> edges;
+  // Every triangle's three edges as (lo, hi, triangle, edge e opposite
+  // vertex e), sorted so the uses of one edge sit together.
+  struct EdgeUse {
+    VertexId lo;
+    VertexId hi;
+    TriId tri;
+    std::int32_t edge;
+  };
+  std::vector<EdgeUse> uses;
+  uses.reserve(3 * static_cast<std::size_t>(num_triangles()));
   for (TriId t = 0; t < num_triangles(); ++t) {
     const Triangle& tri = triangles_[static_cast<std::size_t>(t)];
-    for (int e = 0; e < 3; ++e) {
-      // Edge e is opposite vertex e.
+    for (std::int32_t e = 0; e < 3; ++e) {
       const VertexId a = tri.v[static_cast<std::size_t>((e + 1) % 3)];
       const VertexId b = tri.v[static_cast<std::size_t>((e + 2) % 3)];
-      const auto key = std::minmax(a, b);
-      auto [it, inserted] = edges.try_emplace(key, std::array<TriId, 2>{-1, -1});
-      if (inserted) {
-        it->second[0] = t;
-      } else {
-        CM5_CHECK_MSG(it->second[1] == -1,
-                      "edge shared by more than two triangles");
-        it->second[1] = t;
-      }
+      uses.push_back({std::min(a, b), std::max(a, b), t, e});
     }
   }
+  std::sort(uses.begin(), uses.end(), [](const EdgeUse& x, const EdgeUse& y) {
+    return std::tie(x.lo, x.hi) < std::tie(y.lo, y.hi);
+  });
 
-  num_edges_ = static_cast<std::int32_t>(edges.size());
+  // One pass over the runs of equal (lo, hi): a run of one is a boundary
+  // edge, a run of two links its triangles. `edges` keeps each edge once,
+  // in (lo, hi) order.
+  num_boundary_edges_ = 0;
   tri_neighbors_.assign(static_cast<std::size_t>(num_triangles()),
                         {-1, -1, -1});
-  num_boundary_edges_ = 0;
-  for (const auto& [key, tris] : edges) {
-    if (tris[1] == -1) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (std::size_t i = 0; i < uses.size();) {
+    std::size_t j = i + 1;
+    while (j < uses.size() && uses[j].lo == uses[i].lo &&
+           uses[j].hi == uses[i].hi) {
+      ++j;
+    }
+    CM5_CHECK_MSG(j - i <= 2, "edge shared by more than two triangles");
+    if (j - i == 1) {
       ++num_boundary_edges_;
+    } else {
+      const EdgeUse& x = uses[i];
+      const EdgeUse& y = uses[i + 1];
+      tri_neighbors_[static_cast<std::size_t>(x.tri)]
+                    [static_cast<std::size_t>(x.edge)] = y.tri;
+      tri_neighbors_[static_cast<std::size_t>(y.tri)]
+                    [static_cast<std::size_t>(y.edge)] = x.tri;
     }
+    edges.emplace_back(uses[i].lo, uses[i].hi);
+    i = j;
   }
-  for (TriId t = 0; t < num_triangles(); ++t) {
-    const Triangle& tri = triangles_[static_cast<std::size_t>(t)];
-    for (int e = 0; e < 3; ++e) {
-      const VertexId a = tri.v[static_cast<std::size_t>((e + 1) % 3)];
-      const VertexId b = tri.v[static_cast<std::size_t>((e + 2) % 3)];
-      const auto& tris = edges.at(std::minmax(a, b));
-      const TriId other = (tris[0] == t) ? tris[1] : tris[0];
-      tri_neighbors_[static_cast<std::size_t>(t)][static_cast<std::size_t>(e)] =
-          other;
-    }
-  }
+  num_edges_ = static_cast<std::int32_t>(edges.size());
 
-  // CSR vertex adjacency from the edge set.
-  std::vector<std::vector<VertexId>> adj(static_cast<std::size_t>(num_vertices()));
-  for (const auto& [key, tris] : edges) {
-    adj[static_cast<std::size_t>(key.first)].push_back(key.second);
-    adj[static_cast<std::size_t>(key.second)].push_back(key.first);
-  }
+  // CSR vertex adjacency from the edge set. Walking the edges in (lo, hi)
+  // order appends each vertex's lower neighbours (as hi) in increasing
+  // order before its higher ones (as lo), so every list comes out sorted.
   vertex_adj_offset_.assign(static_cast<std::size_t>(num_vertices()) + 1, 0);
-  for (VertexId v = 0; v < num_vertices(); ++v) {
-    auto& list = adj[static_cast<std::size_t>(v)];
-    std::sort(list.begin(), list.end());
-    vertex_adj_offset_[static_cast<std::size_t>(v) + 1] =
-        vertex_adj_offset_[static_cast<std::size_t>(v)] +
-        static_cast<std::int32_t>(list.size());
+  for (const auto& [lo, hi] : edges) {
+    ++vertex_adj_offset_[static_cast<std::size_t>(lo) + 1];
+    ++vertex_adj_offset_[static_cast<std::size_t>(hi) + 1];
   }
-  vertex_adj_.reserve(static_cast<std::size_t>(2 * num_edges_));
-  for (const auto& list : adj) {
-    vertex_adj_.insert(vertex_adj_.end(), list.begin(), list.end());
+  for (std::size_t v = 0; v < static_cast<std::size_t>(num_vertices()); ++v) {
+    vertex_adj_offset_[v + 1] += vertex_adj_offset_[v];
+  }
+  vertex_adj_.assign(static_cast<std::size_t>(2 * num_edges_), -1);
+  std::vector<std::int32_t> fill(vertex_adj_offset_.begin(),
+                                 vertex_adj_offset_.end() - 1);
+  for (const auto& [lo, hi] : edges) {
+    vertex_adj_[static_cast<std::size_t>(fill[static_cast<std::size_t>(lo)]++)] =
+        hi;
+    vertex_adj_[static_cast<std::size_t>(fill[static_cast<std::size_t>(hi)]++)] =
+        lo;
   }
 }
 

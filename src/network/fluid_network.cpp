@@ -19,10 +19,10 @@ constexpr util::SimTime kNoHeapEntry = -1;
 /// Maximum divergence (ns) between a cached heap projection and a fresh
 /// recompute of the same completion instant. Both describe the same
 /// real-valued time; they differ only by ceil discretization of the two
-/// anchor points (≤ 1 ns each) plus sub-ns float error. next_event pops
-/// everything within 2x this slack of the heap top and reprojects it
-/// fresh from now_, which keeps returned event times identical to a
-/// full O(F) rescan.
+/// anchor points (≤ 1 ns each) plus sub-ns float error. next_event
+/// reprojects everything within 2x this slack of the heap top fresh from
+/// now_, which keeps returned event times identical to a full O(F)
+/// rescan.
 constexpr util::SimTime kProjectionSlackNs = 2;
 
 }  // namespace
@@ -148,12 +148,15 @@ bool FluidNetwork::heap_entry_valid(const HeapEntry& e) const {
   return f.live && f.id == e.id && f.epoch == e.epoch;
 }
 
+util::SimTime FluidNetwork::projection(const Slot& f) const {
+  return f.bytes_remaining <= kDoneEpsilonBytes
+             ? now_
+             : now_ + util::transfer_time(f.bytes_remaining, f.rate);
+}
+
 void FluidNetwork::refresh_heap_entry(std::uint32_t si) {
   Slot& f = slots_[si];
-  util::SimTime t;
-  if (f.bytes_remaining <= kDoneEpsilonBytes) {
-    t = now_;
-  } else if (f.rate <= 0.0) {
+  if (f.rate <= 0.0 && f.bytes_remaining > kDoneEpsilonBytes) {
     // Fully blocked flow: no projected completion. Invalidate any
     // outstanding entry so the heap reflects "cannot finish".
     if (f.heap_time != kNoHeapEntry) {
@@ -161,9 +164,8 @@ void FluidNetwork::refresh_heap_entry(std::uint32_t si) {
       f.heap_time = kNoHeapEntry;
     }
     return;
-  } else {
-    t = now_ + util::transfer_time(f.bytes_remaining, f.rate);
   }
+  const util::SimTime t = projection(f);
   if (f.heap_time == t) return;  // outstanding entry is already right
   ++f.epoch;
   f.heap_time = t;
@@ -181,37 +183,51 @@ void FluidNetwork::compact_heap() {
 }
 
 void FluidNetwork::reach_link(LinkId l) {
-  auto& gen = links_[static_cast<std::size_t>(l)].gen;
-  if (gen == solve_gen_) return;
-  gen = solve_gen_;
+  LinkState& ls = links_[static_cast<std::size_t>(l)];
+  if (ls.gen == solve_gen_) return;
+  ls.gen = solve_gen_;
+  ls.residual = ls.capacity;
+  ls.unfrozen = static_cast<std::int64_t>(ls.flows.size());
+  ls.share = -1;
   comp_links_.push_back(l);
 }
 
-std::size_t FluidNetwork::collect_link(LinkId link) {
-  std::size_t added = 0;
-  for (const LinkEntry e : links_[static_cast<std::size_t>(link)].flows) {
-    Slot& f = slots_[e.slot];
-    if (f.visit_gen == solve_gen_) continue;
-    f.visit_gen = solve_gen_;
-    f.frozen = false;
-    ++added;
-    for (const LinkId next : f.route()) reach_link(next);
+bool FluidNetwork::collect_flow(std::uint32_t si) {
+  Slot& f = slots_[si];
+  if (f.visit_gen == solve_gen_) return false;
+  f.visit_gen = solve_gen_;
+  f.frozen = false;
+  // A link that carries only this flow never couples it to another: its
+  // share stays floor(capacity / 1) until the flow freezes, so the flow
+  // takes the least such capacity as a cap of its own instead.
+  RateUnits cap = kUnboundedRate;
+  for (const LinkId l : f.route()) {
+    const LinkState& ls = links_[static_cast<std::size_t>(l)];
+    if (ls.flows.size() == 1) {
+      cap = std::min(cap, ls.capacity);
+    } else {
+      reach_link(l);
+    }
   }
-  return added;
+  f.private_cap = cap;
+  if (cap != kUnboundedRate) cap_slots_.push_back(si);
+  return true;
 }
 
 void FluidNetwork::freeze(std::uint32_t si, RateUnits share) {
   Slot& f = slots_[si];
   f.frozen = true;
-  if (f.rate_units != share) {
+  const RateUnits delta = share - f.rate_units;
+  if (delta != 0) {
     f.rate_units = share;
     f.rate = rate_from_units(share);
     changed_slots_.push_back(si);
   }
   for (const LinkId link : f.route()) {
     LinkState& ls = links_[static_cast<std::size_t>(link)];
+    ls.load += delta;
+    if (ls.gen != solve_gen_) continue;  // private: not being filled
     ls.residual -= share;
-    ls.load += share;
     --ls.unfrozen;
     ls.share = -1;
   }
@@ -224,42 +240,50 @@ void FluidNetwork::resolve_rates() {
   // of everything outside it, so only the flows reachable from the
   // dirtied links (link -> its flows -> their links ...) are re-filled;
   // every other flow's rate, link loads and heap entry stay as they are.
+  // The walk passes only through shared links: a single-flow link leads
+  // back to the flow it was reached from.
   ++solve_gen_;
   comp_links_.clear();
-  fill_links_.clear();
+  cap_slots_.clear();
   changed_slots_.clear();
+  std::size_t comp_flows = 0;
   for (const LinkId l : dirty_links_) {
-    links_[static_cast<std::size_t>(l)].dirty = false;
-    reach_link(l);
+    LinkState& ls = links_[static_cast<std::size_t>(l)];
+    ls.dirty = false;
+    // A link that lost its last flow needs nothing: retiring the flow
+    // already took its rate off the load.
+    if (ls.flows.size() == 1) {
+      if (collect_flow(ls.flows.front().slot)) ++comp_flows;
+    } else if (ls.flows.size() > 1) {
+      reach_link(l);
+    }
   }
   dirty_links_.clear();
-  std::size_t comp_flows = 0;
   for (std::size_t i = 0; i < comp_links_.size(); ++i) {
-    comp_flows += collect_link(comp_links_[i]);
+    for (const LinkEntry e :
+         links_[static_cast<std::size_t>(comp_links_[i])].flows) {
+      if (collect_flow(e.slot)) ++comp_flows;
+    }
   }
-  for (const LinkId link : comp_links_) {
-    LinkState& ls = links_[static_cast<std::size_t>(link)];
-    // A link that lost its last flow is here too (it was dirtied), so
-    // its load drops to zero.
-    ls.load = 0;
-    ls.residual = ls.capacity;
-    ls.unfrozen = static_cast<std::int64_t>(ls.flows.size());
-    ls.share = -1;
-    if (ls.unfrozen > 0) fill_links_.push_back(link);
-  }
+  stats_.flows_refilled += static_cast<std::int64_t>(comp_flows);
+  stats_.links_refilled += static_cast<std::int64_t>(comp_links_.size());
 
-  // Progressive filling over the component.
+  // Progressive filling over the component. A private cap stands for
+  // its links' shares, so the round minimum, the links and flows at it,
+  // and every share are those of filling all the component's links.
   std::size_t unfrozen = comp_flows;
   while (unfrozen > 0) {
-    // The round's share is the minimum over links with unfrozen flows;
-    // collect the links exactly at it, dropping links with none left.
+    // The round's share is the minimum over shared links with unfrozen
+    // flows and the caps of unfrozen flows; collect the links and flows
+    // exactly at it, dropping the links and flows with nothing left.
     RateUnits share = std::numeric_limits<RateUnits>::max();
     min_links_.clear();
+    min_slots_.clear();
     std::size_t kept = 0;
-    for (const LinkId link : fill_links_) {
+    for (const LinkId link : comp_links_) {
       LinkState& ls = links_[static_cast<std::size_t>(link)];
       if (ls.unfrozen == 0) continue;
-      fill_links_[kept++] = link;
+      comp_links_[kept++] = link;
       if (ls.share < 0) ls.share = ls.residual / ls.unfrozen;
       if (ls.share < share) {
         share = ls.share;
@@ -267,11 +291,26 @@ void FluidNetwork::resolve_rates() {
       }
       if (ls.share == share) min_links_.push_back(link);
     }
-    fill_links_.resize(kept);
-    CM5_CHECK_MSG(!min_links_.empty(), "unfrozen flow with no active link");
-    // Freeze every unfrozen flow on those links. Freezing at `share`
-    // never drops another link's share to `share`, so the set frozen
-    // this round, and every integer update, is order-independent.
+    comp_links_.resize(kept);
+    kept = 0;
+    for (const std::uint32_t si : cap_slots_) {
+      const Slot& f = slots_[si];
+      if (f.frozen) continue;
+      cap_slots_[kept++] = si;
+      if (f.private_cap < share) {
+        share = f.private_cap;
+        min_links_.clear();
+        min_slots_.clear();
+      }
+      if (f.private_cap == share) min_slots_.push_back(si);
+    }
+    cap_slots_.resize(kept);
+    CM5_CHECK_MSG(!min_links_.empty() || !min_slots_.empty(),
+                  "unfrozen flow with no active link");
+    // Freeze every unfrozen flow on those links, and those flows.
+    // Freezing at `share` never drops another link's share to `share`,
+    // so the set frozen this round, and every integer update, is
+    // order-independent.
     for (const LinkId link : min_links_) {
       for (const LinkEntry e : links_[static_cast<std::size_t>(link)].flows) {
         if (slots_[e.slot].frozen) continue;
@@ -279,8 +318,12 @@ void FluidNetwork::resolve_rates() {
         --unfrozen;
       }
     }
+    for (const std::uint32_t si : min_slots_) {
+      if (slots_[si].frozen) continue;
+      freeze(si, share);
+      --unfrozen;
+    }
   }
-  stats_.flows_refilled += static_cast<std::int64_t>(comp_flows);
 
   // Refresh projections only for flows whose rate actually changed.
   // A flow whose rate is unchanged progressed linearly at that rate
@@ -306,66 +349,42 @@ std::optional<util::SimTime> FluidNetwork::next_event() {
   // computed *fresh at this call*. A cached heap projection was ceil()ed
   // at an earlier now_ with larger bytes_remaining; it describes the same
   // real-valued completion instant but its rounding can land within
-  // kProjectionSlackNs of the fresh value on either side. So: pop every
-  // valid entry whose cached time is within 2x that slack of the top,
-  // recompute those projections fresh, re-push them, and return the fresh
-  // minimum. No entry outside the window can beat it, because cached and
-  // fresh times differ by at most the slack.
-  for (;;) {
-    while (!heap_.empty() && !heap_entry_valid(heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), heap_later);
-      heap_.pop_back();
-      ++stats_.heap_pops;
-    }
-    if (heap_.empty()) {
-      // Every active flow is blocked on a stalled link; nothing can
-      // finish.
-      next_cache_ = std::nullopt;
-      next_cache_valid_ = true;
-      return next_cache_;
-    }
-    const util::SimTime window_end =
-        heap_.front().time + 2 * kProjectionSlackNs;
-    reproject_scratch_.clear();
-    while (!heap_.empty()) {
-      const HeapEntry e = heap_.front();
-      if (!heap_entry_valid(e)) {
-        std::pop_heap(heap_.begin(), heap_.end(), heap_later);
-        heap_.pop_back();
-        ++stats_.heap_pops;
-        continue;
-      }
-      if (e.time > window_end) break;
-      std::pop_heap(heap_.begin(), heap_.end(), heap_later);
-      heap_.pop_back();
-      ++stats_.heap_pops;
-      reproject_scratch_.push_back(e.slot);
-    }
-    util::SimTime best = util::kTimeNever;
-    for (const std::uint32_t si : reproject_scratch_) {
-      Slot& f = slots_[si];
-      ++f.epoch;  // the popped entry is gone; invalidate its cache record
-      if (f.rate <= 0.0 && f.bytes_remaining > kDoneEpsilonBytes) {
-        f.heap_time = kNoHeapEntry;  // blocked; re-enters on next resolve
-        continue;
-      }
-      const util::SimTime fresh =
-          f.bytes_remaining <= kDoneEpsilonBytes
-              ? now_
-              : now_ + util::transfer_time(f.bytes_remaining, f.rate);
-      f.heap_time = fresh;
-      heap_.push_back(HeapEntry{fresh, f.id, si, f.epoch});
-      std::push_heap(heap_.begin(), heap_.end(), heap_later);
-      best = std::min(best, fresh);
-    }
-    if (best != util::kTimeNever) {
-      next_cache_ = best;
-      next_cache_valid_ = true;
-      return next_cache_;
-    }
-    // Every candidate in the window was blocked (possible only in exotic
-    // fault interleavings); retry against the remaining entries.
+  // kProjectionSlackNs of the fresh value on either side. So: visit
+  // every valid entry whose cached time is within 2x that slack of the
+  // top and return the least fresh projection among them. No entry
+  // outside the window can beat it, because cached and fresh times
+  // differ by at most the slack. The window is read in place: no entry
+  // in a subtree of the heap is earlier than the subtree's root, so the
+  // walk stops at the first entry past the window on every path, and
+  // nothing is popped or re-pushed.
+  while (!heap_.empty() && !heap_entry_valid(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), heap_later);
+    heap_.pop_back();
+    ++stats_.heap_pops;
   }
+  next_cache_valid_ = true;
+  if (heap_.empty()) {
+    // Every active flow is blocked on a stalled link; nothing can finish.
+    next_cache_ = std::nullopt;
+    return next_cache_;
+  }
+  const util::SimTime window_end = heap_.front().time + 2 * kProjectionSlackNs;
+  util::SimTime best = util::kTimeNever;
+  window_stack_.assign(1, 0);
+  while (!window_stack_.empty()) {
+    const std::size_t i = window_stack_.back();
+    window_stack_.pop_back();
+    const HeapEntry& e = heap_[i];
+    if (e.time > window_end) continue;  // and so is all of its subtree
+    // A valid entry's flow is done or has a positive rate: a rate that
+    // drops to zero invalidates the entry (refresh_heap_entry).
+    if (heap_entry_valid(e)) best = std::min(best, projection(slots_[e.slot]));
+    for (const std::size_t child : {2 * i + 1, 2 * i + 2}) {
+      if (child < heap_.size()) window_stack_.push_back(child);
+    }
+  }
+  next_cache_ = best;
+  return next_cache_;
 }
 
 void FluidNetwork::retire_slot(std::uint32_t si) {
@@ -373,6 +392,7 @@ void FluidNetwork::retire_slot(std::uint32_t si) {
   for (std::uint32_t h = 0; h < f.route_len; ++h) {
     const LinkId l = f.route_links[h];
     LinkState& ls = links_[static_cast<std::size_t>(l)];
+    ls.load -= f.rate_units;
     // Swap-remove: the last entry takes this flow's place.
     const std::uint32_t pos = f.link_pos[h];
     const LinkEntry moved = ls.flows.back();

@@ -207,18 +207,24 @@ TEST(FluidTest, DegradedLinkSlowsAndRestores) {
   EXPECT_EQ(net.advance_to(*t).size(), 1u);
 }
 
-/// Rates, in bytes/s, that the reference solve_max_min gives flows
-/// between the (src, dst) pairs `ends` on `topo`, with each link's
-/// capacity scaled by `scale[link]`.
-std::vector<double> reference_rates(
-    const FatTreeTopology& topo,
-    const std::vector<std::pair<NodeId, NodeId>>& ends,
-    const std::vector<double>& scale) {
+/// Link capacities of `topo` in rate units, each scaled by `scale[link]`.
+std::vector<RateUnits> scaled_capacities(const FatTreeTopology& topo,
+                                         const std::vector<double>& scale) {
   std::vector<RateUnits> caps;
   for (LinkId l = 0; l < topo.num_links(); ++l) {
     caps.push_back(capacity_units(topo.link(l).capacity,
                                   scale[static_cast<std::size_t>(l)]));
   }
+  return caps;
+}
+
+/// Rates, in rate units, that the reference solve_max_min gives flows
+/// between the (src, dst) pairs `ends` on `topo`, with each link's
+/// capacity scaled by `scale[link]`.
+std::vector<RateUnits> reference_units(
+    const FatTreeTopology& topo,
+    const std::vector<std::pair<NodeId, NodeId>>& ends,
+    const std::vector<double>& scale) {
   std::vector<std::vector<LinkId>> routes;
   for (const auto& [src, dst] : ends) {
     const auto r = topo.route(src, dst);
@@ -226,8 +232,16 @@ std::vector<double> reference_rates(
   }
   std::vector<FlowRoute> flows;
   for (const auto& r : routes) flows.push_back(FlowRoute{r});
+  return solve_max_min(flows, scaled_capacities(topo, scale));
+}
+
+/// reference_units in bytes/s.
+std::vector<double> reference_rates(
+    const FatTreeTopology& topo,
+    const std::vector<std::pair<NodeId, NodeId>>& ends,
+    const std::vector<double>& scale) {
   std::vector<double> rates;
-  for (const RateUnits u : solve_max_min(flows, caps)) {
+  for (const RateUnits u : reference_units(topo, ends, scale)) {
     rates.push_back(rate_from_units(u));
   }
   return rates;
@@ -272,6 +286,232 @@ TEST(FluidTest, RatesMatchReferenceSolverExactly) {
     expect_reference("completion");
   }
   EXPECT_TRUE(live.empty());
+}
+
+TEST(FluidTest, PrivateLinkCapsMatchReference) {
+  // A link that carries a single flow enters a solve only as that flow's
+  // private cap. After every operation below, which moves links between
+  // private and shared and degrades or stalls private links, each live
+  // flow's rate must equal the reference solve bit for bit.
+  FatTreeTopology topo(FatTreeConfig::cm5(32));
+  FluidNetwork net(topo);
+  std::vector<double> scale(static_cast<std::size_t>(topo.num_links()), 1.0);
+  std::vector<std::pair<FlowId, std::pair<NodeId, NodeId>>> live;
+  const auto expect_reference = [&](const char* after) {
+    std::vector<std::pair<NodeId, NodeId>> ends;
+    for (const auto& [id, e] : live) ends.push_back(e);
+    const std::vector<double> want = reference_rates(topo, ends, scale);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(net.flow_rate(live[i].first), want[i])
+          << "after " << after << ", flow " << live[i].first;
+    }
+  };
+  const auto start = [&](SimTime t, NodeId src, NodeId dst, double bytes) {
+    const FlowId id = net.start_flow(t, src, dst, bytes);
+    live.push_back({id, {src, dst}});
+    return id;
+  };
+  const auto degrade = [&](SimTime t, LinkId l, double s) {
+    net.set_link_capacity_scale(t, l, s);
+    scale[static_cast<std::size_t>(l)] = s;
+  };
+  const auto advance = [&](SimTime t) {
+    const std::vector<FlowId> done = net.advance_to(t);
+    std::erase_if(live, [&done](const auto& f) {
+      return std::find(done.begin(), done.end(), f.first) != done.end();
+    });
+    return done;
+  };
+
+  // Every link of a flow inside one cluster carries only that flow.
+  start(0, 8, 9, 1e6);
+  expect_reference("a flow on private links only");
+  const FlowId a = start(0, 0, 1, 40000.0);
+  expect_reference("a second all-private flow");
+  // Node 1's eject link goes from private to shared.
+  const FlowId b = start(from_us(100), 2, 1, 2000.0);
+  expect_reference("eject link shared");
+  // A's private inject link drops below its share of the eject link.
+  degrade(from_us(150), topo.inject_link(0), 0.25);
+  expect_reference("private inject degraded");
+  // Stalling it leaves A at rate 0 and B alone on the eject link.
+  degrade(from_us(200), topo.inject_link(0), 0.0);
+  expect_reference("private inject stalled");
+  EXPECT_EQ(net.flow_rate(a), 0.0);
+  // B's retirement leaves the shared eject link with A alone: private
+  // again.
+  const auto t = net.next_event();
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(advance(*t), std::vector<FlowId>{b});
+  expect_reference("shared link back to one flow");
+  degrade(*t, topo.inject_link(0), 1.0);
+  expect_reference("private inject restored");
+  // A new flow shares node 8's inject link with the all-private flow.
+  start(*t, 8, 3, 5000.0);
+  expect_reference("inject link shared");
+  while (const auto next = net.next_event()) {
+    advance(*next);
+    expect_reference("completion");
+  }
+  EXPECT_TRUE(live.empty());
+}
+
+/// One operation of a churn script at time `t`: a rescale of `link` to
+/// `scale` if link >= 0, else the start of a flow src -> dst.
+struct ChurnOp {
+  SimTime t;
+  NodeId src;
+  NodeId dst;
+  double bytes;
+  LinkId link;
+  double scale;
+};
+
+/// A deterministic churn on `topo`: bursts of same-instant flow starts
+/// between random pauses, and rescales (stalls included) of random
+/// links, all restored at the end so every flow can finish.
+std::vector<ChurnOp> churn_script(const FatTreeTopology& topo,
+                                  std::uint64_t seed, int ops) {
+  std::uint64_t state = seed;
+  const auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  const auto nodes = static_cast<std::uint64_t>(topo.num_nodes());
+  const auto links = static_cast<std::uint64_t>(topo.num_links());
+  const double scales[] = {0.0, 0.25, 1.0 / 3.0, 0.5, 1.0};
+  std::vector<ChurnOp> script;
+  std::vector<LinkId> touched;
+  SimTime t = 0;
+  for (int i = 0; i < ops; ++i) {
+    if (next(2) == 0) t += from_us(static_cast<std::int64_t>(next(40)));
+    if (next(8) == 0) {
+      const auto link = static_cast<LinkId>(next(links));
+      script.push_back({t, -1, -1, 0.0, link, scales[next(5)]});
+      touched.push_back(link);
+      continue;
+    }
+    const auto src = static_cast<NodeId>(next(nodes));
+    const auto dst =
+        static_cast<NodeId>((static_cast<std::uint64_t>(src) + 1 +
+                             next(nodes - 1)) % nodes);
+    script.push_back(
+        {t, src, dst, 100.0 * static_cast<double>(1 + next(40)), -1, 1.0});
+  }
+  for (const LinkId link : touched) script.push_back({t, -1, -1, 0.0, link, 1.0});
+  return script;
+}
+
+/// A live flow of a churn run: its id and its (src, dst).
+using ChurnLive = std::vector<std::pair<FlowId, std::pair<NodeId, NodeId>>>;
+
+/// Runs `script` on a fresh network, harvesting every completion due by
+/// an operation's time before applying it when time moves, then drains
+/// the network.
+/// With `peek_every_op`, next_event() is also called after every
+/// operation, as the kernel does between same-instant starts.
+/// `interval` sees each stretch of time the network moves across, with
+/// the flows live and the link scales in force over it. Returns every
+/// completion as (time, id).
+std::vector<std::pair<SimTime, FlowId>> run_churn(
+    FluidNetwork& net, const std::vector<ChurnOp>& script, bool peek_every_op,
+    const std::function<void(SimTime, SimTime, const ChurnLive&,
+                             const std::vector<double>&)>& interval =
+        nullptr) {
+  std::vector<double> scale(
+      static_cast<std::size_t>(net.topology().num_links()), 1.0);
+  ChurnLive live;
+  std::vector<std::pair<SimTime, FlowId>> completions;
+  SimTime now = 0;
+  const auto advance = [&](SimTime t) {
+    if (interval && t > now) interval(now, t, live, scale);
+    now = t;
+    for (const FlowId id : net.advance_to(t)) {
+      completions.push_back({t, id});
+      std::erase_if(live, [id](const auto& f) { return f.first == id; });
+    }
+  };
+  for (const ChurnOp& op : script) {
+    // Same-instant operations need no harvest in between: nothing can
+    // finish before the instant they start at.
+    for (auto t = op.t > now ? net.next_event() : std::nullopt;
+         t && *t <= op.t; t = net.next_event()) {
+      advance(*t);
+    }
+    if (interval && op.t > now) interval(now, op.t, live, scale);
+    now = op.t;
+    if (op.link >= 0) {
+      net.set_link_capacity_scale(op.t, op.link, op.scale);
+      scale[static_cast<std::size_t>(op.link)] = op.scale;
+    } else {
+      live.push_back(
+          {net.start_flow(op.t, op.src, op.dst, op.bytes), {op.src, op.dst}});
+    }
+    if (peek_every_op) net.next_event();
+  }
+  while (const auto t = net.next_event()) advance(*t);
+  EXPECT_TRUE(live.empty());
+  return completions;
+}
+
+TEST(FluidTest, NextEventPeeksArePure) {
+  // next_event() reads the completion heap without reordering it, so
+  // peeking after every operation, which also splits same-instant starts
+  // into separate solves, must not move any completion.
+  const FatTreeTopology topo(FatTreeConfig::cm5(64));
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    const std::vector<ChurnOp> script = churn_script(topo, seed, 600);
+    FluidNetwork peeking(topo);
+    FluidNetwork quiet(topo);
+    const auto peeked = run_churn(peeking, script, true);
+    const auto plain = run_churn(quiet, script, false);
+    EXPECT_EQ(peeked, plain) << "seed " << seed;
+    EXPECT_GT(peeking.stats().rate_solves, quiet.stats().rate_solves);
+    EXPECT_GT(plain.size(), 500u);
+  }
+}
+
+TEST(FluidTest, LinkLoadsStayExactUnderChurn) {
+  // Link loads move by each rate change rather than being rebuilt, so
+  // check them through their integral: every link's busy time must match
+  // the one the reference rates give over each stretch of the run.
+  const FatTreeTopology topo(FatTreeConfig::cm5(64));
+  const auto num_links = static_cast<std::size_t>(topo.num_links());
+  for (const std::uint64_t seed : {4ULL, 5ULL}) {
+    std::vector<double> want(num_links, 0.0);
+    FluidNetwork net(topo);
+    run_churn(net, churn_script(topo, seed, 600), true,
+              [&](SimTime from, SimTime to, const ChurnLive& live,
+                  const std::vector<double>& scale) {
+                std::vector<std::pair<NodeId, NodeId>> ends;
+                for (const auto& [id, e] : live) ends.push_back(e);
+                const std::vector<RateUnits> rates =
+                    reference_units(topo, ends, scale);
+                std::vector<RateUnits> load(num_links, 0);
+                for (std::size_t i = 0; i < ends.size(); ++i) {
+                  for (const LinkId l :
+                       topo.route(ends[i].first, ends[i].second)) {
+                    load[static_cast<std::size_t>(l)] += rates[i];
+                  }
+                }
+                const std::vector<RateUnits> caps =
+                    scaled_capacities(topo, scale);
+                const double dt = util::to_seconds(to - from);
+                for (std::size_t l = 0; l < num_links; ++l) {
+                  if (load[l] <= 0) continue;
+                  want[l] += dt * std::min(1.0, static_cast<double>(load[l]) /
+                                                    static_cast<double>(caps[l]));
+                }
+              });
+    const std::vector<double>& got = net.stats().link_busy_seconds;
+    int busy_links = 0;
+    for (std::size_t l = 0; l < num_links; ++l) {
+      EXPECT_NEAR(got[l], want[l], 1e-9 * want[l])
+          << "seed " << seed << ", link " << l;
+      if (want[l] > 0.0) ++busy_links;
+    }
+    EXPECT_GT(busy_links, 100);
+  }
 }
 
 TEST(FluidTest, FlowRateReflectsSharing) {
