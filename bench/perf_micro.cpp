@@ -1,13 +1,17 @@
 /// Microbenchmarks (google-benchmark) of the fluid network's fast paths:
 /// the on-demand route computation, the component-local max-min solver
 /// under single-flow churn, the heap-backed next_event() lookup, and a
-/// full exchange-step drain. These are the host-time costs docs/PERF.md
-/// documents; run in Release mode.
+/// full exchange-step drain; and of the kernel's barrier-stepped path
+/// (global-op barrier rounds on fibers). These are the host-time costs
+/// docs/PERF.md documents; run in Release mode.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "cm5/net/fluid_network.hpp"
 #include "cm5/net/topology.hpp"
+#include "cm5/sim/kernel.hpp"
 #include "cm5/util/rng.hpp"
 
 namespace {
@@ -111,6 +115,38 @@ void BM_ExchangeStepDrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * nprocs);
 }
 BENCHMARK(BM_ExchangeStepDrain)->Arg(32)->Arg(256);
+
+/// N nodes run kRounds global-op barriers each: every round parks all N
+/// fibers and releases them together, which is what a barrier-stepped
+/// schedule pays per step. Reports host ns per node-barrier (one node's
+/// arrival, release and resume); fiber set-up is amortized over the
+/// rounds. The cost grows with N once the parked fibers' hot frames
+/// outgrow the caches (docs/PERF.md "Barrier-stepped kernel path").
+/// Pinned to fibers: an inherited CM5_EXEC_THREADS=1 or CM5_LANES would
+/// otherwise measure another backend (threads: one OS thread per node).
+void BM_BarrierRound(benchmark::State& state) {
+  constexpr std::int32_t kRounds = 200;
+  const auto nprocs = static_cast<std::int32_t>(state.range(0));
+  const net::FatTreeTopology topo(net::FatTreeConfig::cm5(nprocs));
+  double seconds = 0.0;
+  for (auto _ : state) {
+    sim::Kernel kernel(topo);
+    kernel.set_execution_model(sim::ExecutionModel::kFibers);
+    const auto start = std::chrono::steady_clock::now();
+    kernel.run([](sim::NodeHandle& h) {
+      for (std::int32_t r = 0; r < kRounds; ++r) (void)h.global_op({}, 0);
+    });
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  }
+  const double node_barriers = static_cast<double>(state.iterations()) *
+                               nprocs * kRounds;
+  state.SetItemsProcessed(static_cast<std::int64_t>(node_barriers));
+  state.counters["ns_per_node_barrier"] = seconds * 1e9 / node_barriers;
+}
+BENCHMARK(BM_BarrierRound)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

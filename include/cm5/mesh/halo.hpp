@@ -1,5 +1,7 @@
 #pragma once
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -20,9 +22,24 @@ namespace cm5::mesh {
 /// pair of parts (p, q), the list of entity ids (vertices or cells) that
 /// p owns and q reads. Both sides keep the lists sorted by global id so
 /// sender and receiver agree on the serialization order.
+///
+/// Stored as compressed rows: each owner's non-empty (reader, list)
+/// pairs, by reader, over one id array. A partition shares with a few
+/// neighbours, so this is O(shared ids) where an N x N table of lists
+/// would be O(N^2).
 class HaloPlan {
  public:
-  HaloPlan(std::int32_t nparts, std::vector<std::vector<std::vector<std::int32_t>>> lists);
+  /// One shared entity: `id`, owned by part `owner`, read by `reader`.
+  struct Share {
+    PartId owner;
+    PartId reader;
+    std::int32_t id;
+    auto operator<=>(const Share&) const = default;
+  };
+
+  /// The plan of `shares`, given in any order; duplicates are dropped.
+  /// Every share names two distinct parts in [0, nparts).
+  HaloPlan(std::int32_t nparts, std::vector<Share> shares);
 
   std::int32_t nparts() const noexcept { return nparts_; }
 
@@ -39,8 +56,13 @@ class HaloPlan {
 
  private:
   std::int32_t nparts_;
-  // lists_[owner][reader] = sorted shared ids.
-  std::vector<std::vector<std::vector<std::int32_t>>> lists_;
+  /// Owner p's pairs are [row_begin_[p], row_begin_[p + 1]).
+  std::vector<std::size_t> row_begin_;
+  /// Per pair: its reader (ascending within a row), and where its list
+  /// starts in ids_; pair k's list ends where pair k + 1's starts.
+  std::vector<PartId> readers_;
+  std::vector<std::size_t> list_begin_;
+  std::vector<std::int32_t> ids_;
 };
 
 /// Vertex-based halo (nodal solvers like CG): reader part q needs owned

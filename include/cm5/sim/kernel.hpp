@@ -322,12 +322,16 @@ class Kernel {
 
   enum class TimerKind : std::uint8_t { Recv, Barrier };
 
-  /// Lazily-invalidated entry of the runnable-node heap. An entry is
-  /// valid iff its node is still Runnable at exactly this clock; any
-  /// wake/advance pushes a fresh entry, and stale ones (whose clocks are
-  /// necessarily <= the node's current clock) surface at the top early
-  /// and are discarded. Keeps schedule_next at O(log N) instead of a
-  /// scan over every node per scheduling decision.
+  /// Lazily-invalidated runnable-node entry. An entry is valid iff its
+  /// node is still Runnable at exactly this clock; any wake/advance adds
+  /// a fresh entry, and stale ones (whose clocks are necessarily <= the
+  /// node's current clock) surface early and are discarded. Entries live
+  /// in two ordered sources: the heap (runnable_queue_) and the sorted
+  /// release run of the last completed global op (release_run_).
+  /// schedule_next reads their merged minimum by (clock, node), exactly
+  /// the order one heap holding every entry would yield, so a barrier
+  /// that wakes all N nodes costs N appends instead of N heap pushes and
+  /// pops, and every other decision stays O(log N).
   struct RunnableEntry {
     util::SimTime clock;
     NodeId node;
@@ -446,10 +450,21 @@ class Kernel {
   void maybe_complete_global_op(util::SimTime now, NodeId completer);
   void recompute_gop_max_arrival();
   void wake_node(NodeId id, util::SimTime t);
+  /// Moves blocked `id` to Runnable at time `t` without recording an
+  /// entry; wake_node and the global-op release record it.
+  void make_runnable(NodeId id, util::SimTime t);
   /// Records that `id` is Runnable at its current clock (must be called
   /// after every transition to Runnable and every clock change while
   /// Runnable, or schedule_next will not consider the node).
   void push_runnable(NodeId id);
+  /// The least entry over the heap and the release run, if any; sets
+  /// `from_run` to where it lives. Ties go to the heap (equal entries are
+  /// interchangeable).
+  bool runnable_min(RunnableEntry& e, bool& from_run) const;
+  /// Removes the entry runnable_min just returned.
+  void pop_runnable_min(bool from_run);
+  /// True iff `e`'s node is still Runnable at exactly `e.clock`.
+  bool runnable_valid(const RunnableEntry& e) const;
   void check_abort(NodeId me) const;
   std::string deadlock_report() const;
   void node_main(const NodeProgram& program, NodeId id);
@@ -488,6 +503,13 @@ class Kernel {
   std::priority_queue<RunnableEntry, std::vector<RunnableEntry>,
                       std::greater<RunnableEntry>>
       runnable_queue_;
+  /// Entries (clock, nodes[i]) for i >= head, in node order: the nodes the
+  /// last completed global op released (initially, every node at time 0).
+  struct ReleaseRun {
+    util::SimTime clock = 0;
+    std::vector<NodeId> nodes;
+    std::size_t head = 0;
+  } release_run_;
   std::int64_t event_seq_ = 0;
   std::int64_t send_seq_ = 0;
 

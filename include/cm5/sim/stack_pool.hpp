@@ -19,22 +19,43 @@
 ///
 /// Every stack has one PROT_NONE guard page below its usable range, so
 /// an overflow faults instead of silently corrupting a neighbouring
-/// allocation. Stacks are cached per exact usable size (the size is a
-/// process-stable knob, see fiber_stack_bytes()); a request for a size
-/// with no cached entry maps a fresh stack.
+/// allocation. Stacks are cached per exact size, which the requested
+/// size sets (a process-stable knob, see fiber_stack_bytes()); a request
+/// for a size with no cached entry maps a fresh stack.
+///
+/// Stacks are cache-colored. Every mapping's top is page-aligned, so
+/// without coloring the ~2 KiB of frames each parked fiber resumes
+/// through would sit at the same page offset in every stack and compete
+/// for the same L1/L2 sets; at N = 1024 a barrier round then misses L2.
+/// Each newly mapped stack therefore gets a `color`, a multiple of
+/// kColorStep below kColorSpan that steps through the span in mapping
+/// order, and its fiber's boot frame starts `color` bytes below the top
+/// (fiber_context.cpp). The color belongs to the stack, so a reused
+/// stack keeps it and its warm pages. The mapping carries one extra page
+/// so the usable size below the colored top still meets the request.
+/// The span is 2 KiB and not wider: a 4 KiB span pushes the hot frames
+/// of many stacks one page deeper, which costs resident memory at large
+/// N (docs/PERF.md "Barrier-stepped kernel path").
 
 namespace cm5::sim {
 
 class FiberStackPool {
  public:
-  /// One guard-paged stack. `base`/`size` delimit the usable range; the
-  /// guard page sits immediately below `base`. `map`/`map_size` are the
-  /// whole mapping (guard included) and belong to the pool.
+  /// Granularity and span of stack colors (see the file comment).
+  static constexpr std::size_t kColorStep = 64;
+  static constexpr std::size_t kColorSpan = 2048;
+
+  /// One guard-paged stack. `base`/`size` delimit the mapped range above
+  /// the guard page, which sits immediately below `base`; a fiber uses
+  /// [base, base + size - color), at least the requested bytes.
+  /// `map`/`map_size` are the whole mapping (guard included) and belong
+  /// to the pool.
   struct Stack {
     std::byte* base = nullptr;
     std::size_t size = 0;
     std::byte* map = nullptr;
     std::size_t map_size = 0;
+    std::size_t color = 0;  ///< bytes left unused below the top
   };
 
   /// Pool telemetry (monotonic except `cached`/`outstanding`).
@@ -50,10 +71,10 @@ class FiberStackPool {
   /// on several worker threads, each acquiring and releasing stacks.
   static FiberStackPool& instance();
 
-  /// Returns a stack with at least `usable_bytes` of usable space
-  /// (rounded up to whole pages), reusing a cached stack of the same
-  /// rounded size when one exists. Throws util::CheckError when the
-  /// address space is exhausted (mmap failure).
+  /// Returns a stack with at least `usable_bytes` of usable space below
+  /// its colored top (`size` is whole pages), reusing a cached stack of
+  /// the same rounded size when one exists. Throws util::CheckError when
+  /// the address space is exhausted (mmap failure).
   Stack acquire(std::size_t usable_bytes);
 
   /// Returns `s` to the cache (or unmaps it when the cache is full).
@@ -80,7 +101,7 @@ class FiberStackPool {
   void unmap(const Stack& s) noexcept;
 
   mutable std::mutex mu_;
-  /// Cached stacks, keyed by usable size. LIFO per size: the most
+  /// Cached stacks, keyed by `size`. LIFO per size: the most
   /// recently released stack has the warmest pages.
   std::map<std::size_t, std::vector<Stack>> free_;
   std::int64_t max_cached_ = 16384;

@@ -58,9 +58,11 @@ void create_fiber(FiberContext& c, std::size_t stack_bytes) {
 #if CM5_FIBER_ASM
   // Build the exact register image fiber_context_x86_64.S restores; the
   // first switch into this fiber "returns" into the boot trampoline
-  // with the context pointer in r12. The parked sp must be 16-byte
-  // aligned (see the .S frame-layout comment).
-  std::byte* top = c.stack.base + c.stack.size;
+  // with the context pointer in r12. The boot frame sits at the stack's
+  // color below its top (stack_pool.hpp), so the hot frames of parked
+  // fibers spread over cache sets. The parked sp must be 16-byte aligned
+  // (see the .S frame-layout comment).
+  std::byte* top = c.stack.base + c.stack.size - c.stack.color;
   top -= reinterpret_cast<std::uintptr_t>(top) & 15u;
   std::byte* sp = top - 80;
   std::memset(sp, 0, 80);
@@ -79,7 +81,7 @@ void create_fiber(FiberContext& c, std::size_t stack_bytes) {
 #else
   CM5_CHECK_MSG(getcontext(&c.uc) == 0, "getcontext failed");
   c.uc.uc_stack.ss_sp = c.stack.base;
-  c.uc.uc_stack.ss_size = c.stack.size;
+  c.uc.uc_stack.ss_size = c.stack.size - c.stack.color;
   c.uc.uc_link = nullptr;  // fibers never fall off their entry
   const auto p = reinterpret_cast<std::uintptr_t>(&c);
   makecontext(&c.uc, reinterpret_cast<void (*)()>(&ucontext_boot), 2,

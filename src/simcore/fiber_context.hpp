@@ -69,8 +69,9 @@ struct FiberContext {
 };
 
 /// Gives `c` a pooled stack and builds the boot image so the first
-/// switch into it enters `c.entry(&c)`. `entry`, `backend`, and `id`
-/// must already be set.
+/// switch into it enters `c.entry(&c)`. The image starts at the stack's
+/// cache color below its top (see stack_pool.hpp). `entry`, `backend`,
+/// and `id` must already be set.
 void create_fiber(FiberContext& c, std::size_t stack_bytes);
 
 /// Returns `c`'s stack to the pool (and destroys its TSAN fiber).

@@ -1,6 +1,7 @@
 #include "cm5/sim/kernel.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "cm5/util/check.hpp"
@@ -471,12 +472,42 @@ void Kernel::push_runnable(NodeId id) {
   runnable_queue_.push(RunnableEntry{nodes_[idx(id)].clock, id});
 }
 
-void Kernel::wake_node(NodeId id, util::SimTime t) {
+bool Kernel::runnable_valid(const RunnableEntry& e) const {
+  const NodeState& st = nodes_[idx(e.node)];
+  return st.status == NodeStatus::Runnable && st.clock == e.clock;
+}
+
+bool Kernel::runnable_min(RunnableEntry& e, bool& from_run) const {
+  const ReleaseRun& run = release_run_;
+  from_run = run.head < run.nodes.size();
+  if (from_run) e = RunnableEntry{run.clock, run.nodes[run.head]};
+  if (!runnable_queue_.empty() &&
+      (!from_run || !(runnable_queue_.top() > e))) {
+    e = runnable_queue_.top();
+    from_run = false;
+    return true;
+  }
+  return from_run;
+}
+
+void Kernel::pop_runnable_min(bool from_run) {
+  if (from_run) {
+    ++release_run_.head;
+  } else {
+    runnable_queue_.pop();
+  }
+}
+
+void Kernel::make_runnable(NodeId id, util::SimTime t) {
   NodeState& st = nodes_[idx(id)];
   CM5_CHECK(st.status == NodeStatus::Blocked);
   CM5_CHECK_MSG(st.clock <= t, "waking a node into its past");
   st.clock = t;
   st.status = NodeStatus::Runnable;
+}
+
+void Kernel::wake_node(NodeId id, util::SimTime t) {
+  make_runnable(id, t);
   push_runnable(id);
 }
 
@@ -680,23 +711,23 @@ void Kernel::schedule_next(std::unique_lock<std::mutex>& lock) {
       return;
     }
 
-    // Earliest runnable node: peek the lazy heap, discarding entries
-    // whose node has since blocked, finished, or moved its clock. A
-    // valid entry is left in place — the node stays runnable at that
-    // clock until it acts, and the next call needs the same answer.
-    // Stale entries never hide valid ones: a node's stale clocks are
-    // <= its current clock, so they surface (and are dropped) first.
+    // Earliest runnable node: peek the merged heap and release run,
+    // discarding entries whose node has since blocked, finished, or moved
+    // its clock. A valid entry is left in place — the node stays runnable
+    // at that clock until it acts, and the next call needs the same
+    // answer. Stale entries never hide valid ones: a node's stale clocks
+    // are <= its current clock, so they surface (and are dropped) first.
     NodeId best = -1;
     util::SimTime best_t = util::kTimeNever;
-    while (!runnable_queue_.empty()) {
-      const RunnableEntry e = runnable_queue_.top();
-      const NodeState& st = nodes_[idx(e.node)];
-      if (st.status == NodeStatus::Runnable && st.clock == e.clock) {
+    RunnableEntry e{};
+    bool from_run = false;
+    while (runnable_min(e, from_run)) {
+      if (runnable_valid(e)) {
         best = e.node;
         best_t = e.clock;
         break;
       }
-      runnable_queue_.pop();
+      pop_runnable_min(from_run);
     }
 
     // Earliest pending event. Ties resolve by category, in this order:
@@ -779,21 +810,20 @@ void Kernel::schedule_next(std::unique_lock<std::mutex>& lock) {
 void Kernel::speculate_same_time(NodeId granted, util::SimTime t) {
   // Wake other nodes runnable at exactly the granted virtual time so
   // their user code can overlap with the token holder's on other lanes.
-  // This must not disturb scheduling state: heap entries are popped,
-  // examined, and re-pushed identically (same clock, same node), and
-  // nothing here touches clocks, statuses, or the token. Nodes in any
-  // abnormal state (killed / timed out / peer failed) are skipped — the
-  // speculative path must never race an abort-flag handoff.
+  // This must not disturb scheduling state: entries are taken in merged
+  // (heap, release run) order, examined, and re-pushed identically (same
+  // clock, same node) into the heap, which leaves the merged order as it
+  // was; nothing here touches clocks, statuses, or the token. Nodes in
+  // any abnormal state (killed / timed out / peer failed) are skipped —
+  // the speculative path must never race an abort-flag handoff.
   std::int32_t budget = spec_lookahead_;
   spec_scan_.clear();
-  while (budget > 0 && !runnable_queue_.empty() &&
-         runnable_queue_.top().clock == t) {
-    const RunnableEntry e = runnable_queue_.top();
-    runnable_queue_.pop();
+  RunnableEntry e{};
+  bool from_run = false;
+  while (budget > 0 && runnable_min(e, from_run) && e.clock == t) {
+    pop_runnable_min(from_run);
+    if (!runnable_valid(e)) continue;  // stale: drop it, it costs no budget
     const NodeState& st = nodes_[idx(e.node)];
-    if (st.status != NodeStatus::Runnable || st.clock != e.clock) {
-      continue;  // stale entry: drop it, it costs no budget
-    }
     spec_scan_.push_back(e);
     --budget;
     if (e.node == granted || st.has_token || st.speculated ||
@@ -806,7 +836,7 @@ void Kernel::speculate_same_time(NodeId granted, util::SimTime t) {
     ++spec_grants_;
     backend_->unpark_speculative(e.node);
   }
-  for (const RunnableEntry& e : spec_scan_) runnable_queue_.push(e);
+  for (const RunnableEntry& s : spec_scan_) runnable_queue_.push(s);
 }
 
 void Kernel::recompute_gop_max_arrival() {
@@ -835,13 +865,26 @@ void Kernel::maybe_complete_global_op(util::SimTime now, NodeId completer) {
   g.duration = 0;
   ++g.generation;
   emit(TraceEvent::Kind::GlobalOpComplete, release, completer);
+  // The released nodes become one run in node order. Still-valid entries
+  // of the previous run move to the heap first (the death path can
+  // complete a second op at the same instant), so the merged valid
+  // entries stay exactly those one heap would hold.
+  ReleaseRun& run = release_run_;
+  for (; run.head < run.nodes.size(); ++run.head) {
+    const RunnableEntry e{run.clock, run.nodes[run.head]};
+    if (runnable_valid(e)) runnable_queue_.push(e);
+  }
+  run.nodes.clear();
+  run.head = 0;
+  run.clock = release;
   for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
     if (!g.waiting[idx(n)]) continue;
     g.waiting[idx(n)] = false;
     NodeState& st = nodes_[idx(n)];
     st.gop_result = g.result;
     st.gop_deadline.reset();
-    wake_node(n, release);
+    make_runnable(n, release);
+    run.nodes.push_back(n);
   }
 }
 
@@ -1077,7 +1120,11 @@ RunResult Kernel::run(const NodeProgram& program) {
   pending_swaps_.clear();
   event_queue_ = {};
   runnable_queue_ = {};
-  for (NodeId i = 0; i < n; ++i) push_runnable(i);  // all start at time 0
+  // Every node starts runnable at time 0: one run in node order.
+  release_run_.clock = 0;
+  release_run_.nodes.resize(static_cast<std::size_t>(n));
+  std::iota(release_run_.nodes.begin(), release_run_.nodes.end(), 0);
+  release_run_.head = 0;
   event_seq_ = 0;
   send_seq_ = 0;
   transfers_.clear();

@@ -34,10 +34,14 @@ FiberStackPool::~FiberStackPool() { trim(); }
 
 FiberStackPool::Stack FiberStackPool::acquire(std::size_t usable_bytes) {
   const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  const std::size_t usable = (usable_bytes + page - 1) / page * page;
+  // A colored top leaves up to kColorSpan unused, so the stack carries
+  // the span, in whole pages, on top of the request's whole pages (the
+  // bucket is still set by the request's page count).
+  const std::size_t size = (usable_bytes + page - 1) / page * page +
+                           (kColorSpan + page - 1) / page * page;
   {
     std::lock_guard<std::mutex> g(mu_);
-    auto it = free_.find(usable);
+    auto it = free_.find(size);
     if (it != free_.end() && !it->second.empty()) {
       Stack s = it->second.back();
       it->second.pop_back();
@@ -48,7 +52,7 @@ FiberStackPool::Stack FiberStackPool::acquire(std::size_t usable_bytes) {
     }
   }
   Stack s;
-  s.map_size = usable + page;  // one guard page below the stack
+  s.map_size = size + page;  // one guard page below the stack
   void* mem = ::mmap(nullptr, s.map_size, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   CM5_CHECK_MSG(mem != MAP_FAILED,
@@ -57,8 +61,10 @@ FiberStackPool::Stack FiberStackPool::acquire(std::size_t usable_bytes) {
                 "fiber guard page mprotect failed");
   s.map = static_cast<std::byte*>(mem);
   s.base = s.map + page;
-  s.size = usable;
+  s.size = size;
   std::lock_guard<std::mutex> g(mu_);
+  s.color = static_cast<std::size_t>(stats_.mapped) %
+            (kColorSpan / kColorStep) * kColorStep;
   ++stats_.mapped;
   ++stats_.outstanding;
   return s;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "cm5/mesh/generate.hpp"
+#include "cm5/util/check.hpp"
 
 namespace cm5::mesh {
 namespace {
@@ -125,6 +127,37 @@ TEST(HaloTest, GhostCountsConsistent) {
   }
   EXPECT_EQ(total_ghosts, total_shared);
   EXPECT_GT(total_ghosts, 0);
+}
+
+TEST(HaloTest, PlanFromUnorderedShares) {
+  // Shares arrive in any order with duplicates; each (owner, reader)
+  // list comes out sorted and de-duplicated, and pairs with no share
+  // read as empty.
+  const HaloPlan halo(4, {{2, 0, 9},
+                          {0, 3, 5},
+                          {2, 0, 4},
+                          {0, 1, 7},
+                          {2, 0, 9},
+                          {0, 3, 1}});
+  const auto list = [&](PartId o, PartId r) {
+    const auto s = halo.shared(o, r);
+    return std::vector<std::int32_t>(s.begin(), s.end());
+  };
+  EXPECT_EQ(list(0, 1), (std::vector<std::int32_t>{7}));
+  EXPECT_EQ(list(0, 3), (std::vector<std::int32_t>{1, 5}));
+  EXPECT_EQ(list(2, 0), (std::vector<std::int32_t>{4, 9}));
+  EXPECT_TRUE(list(0, 2).empty());
+  EXPECT_TRUE(list(1, 0).empty());
+  EXPECT_TRUE(list(3, 3).empty());
+  EXPECT_EQ(halo.ghosts_of(0), 2);
+  EXPECT_EQ(halo.ghosts_of(2), 0);
+  EXPECT_EQ(halo.ghosts_of(3), 2);
+  const sched::CommPattern p = halo.pattern(8);
+  EXPECT_EQ(p.at(0, 3), 16);
+  EXPECT_EQ(p.at(2, 0), 16);
+  EXPECT_EQ(p.at(1, 0), 0);
+  EXPECT_THROW(HaloPlan(4, {{1, 1, 0}}), util::CheckError);
+  EXPECT_THROW(HaloPlan(4, {{0, 4, 0}}), util::CheckError);
 }
 
 }  // namespace

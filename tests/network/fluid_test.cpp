@@ -471,6 +471,47 @@ TEST(FluidTest, NextEventPeeksArePure) {
   }
 }
 
+TEST(FluidTest, NextEventWindowCatchesNearTie) {
+  // A cached heap projection and a fresh one describe the same instant
+  // but round independently, so they can differ by a nanosecond either
+  // way. Flow x (0->1 over an inject link degraded to 1/3, started at
+  // 1 ns) caches T and later reprojects to T + 1; flow y (2->3, full
+  // rate, started at 0) caches T + 1 and later reprojects to T. At
+  // 20001 ns x's entry is the heap top and y's sits 1 ns above it, yet
+  // y finishes first: next_event must reproject past the top.
+  const FatTreeTopology topo(FatTreeConfig::cm5(32));
+  constexpr SimTime kT = 50004;
+  constexpr SimTime kXStart = 1;
+  constexpr SimTime kPeek = 20001;
+  constexpr double kXBytes = 333.3533332557185;
+  constexpr double kYBytes = 1000.08;
+  const auto start_x = [&](FluidNetwork& net) {
+    net.set_link_capacity_scale(0, topo.inject_link(0), 1.0 / 3.0);
+    net.advance_to(kXStart);
+    net.start_flow(kXStart, 0, 1, kXBytes);
+  };
+
+  // Each flow alone: its cached projection, then its fresh one at kPeek,
+  // reached through the same progress instants as in the union.
+  FluidNetwork x_alone(topo);
+  start_x(x_alone);
+  EXPECT_EQ(x_alone.next_event(), kT);
+  x_alone.advance_to(kPeek);
+  EXPECT_EQ(x_alone.next_event(), kT + 1);
+  FluidNetwork y_alone(topo);
+  y_alone.start_flow(0, 2, 3, kYBytes);
+  EXPECT_EQ(y_alone.next_event(), kT + 1);
+  y_alone.advance_to(kXStart);
+  y_alone.advance_to(kPeek);
+  EXPECT_EQ(y_alone.next_event(), kT);
+
+  FluidNetwork both(topo);
+  both.start_flow(0, 2, 3, kYBytes);
+  start_x(both);
+  both.advance_to(kPeek);
+  EXPECT_EQ(both.next_event(), kT);
+}
+
 TEST(FluidTest, LinkLoadsStayExactUnderChurn) {
   // Link loads move by each rate change rather than being rebuilt, so
   // check them through their integral: every link's busy time must match

@@ -5,9 +5,13 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cm5/net/topology.hpp"
+#include "cm5/sim/fault.hpp"
+#include "cm5/sim/trace.hpp"
 #include "cm5/util/check.hpp"
 #include "cm5/util/time.hpp"
 
@@ -406,6 +410,100 @@ TEST(KernelTest, ManyNodesStress) {
   });
   EXPECT_GT(r.makespan, 0);
   EXPECT_EQ(r.network.flows_completed, 64);
+}
+
+/// One run whose global op releases its nodes (the sorted release run)
+/// at the same instant as heap entries wake other nodes: node 4 dies
+/// at the release instant R and its unwind entry sits in the middle of
+/// the run; after the release a receive timeout and two zero-byte
+/// transfers complete at R and wake nodes below the run's head. The
+/// resume order at R must be by node id throughout, and every backend
+/// must produce the same trace, event for event.
+std::vector<TraceEvent> barrier_merge_trace(ExecutionModel model,
+                                            std::int32_t lanes) {
+  constexpr std::int32_t kTagSend = 2;
+  constexpr std::int32_t kTagRing = 1;
+  auto topo = make_topo(8);
+  Kernel kernel(topo);
+  kernel.set_execution_model(model);
+  kernel.set_execution_lanes(lanes);
+  FaultPlan plan;
+  plan.deaths.push_back({4, from_us(50)});
+  kernel.set_fault_plan(plan);
+  std::vector<TraceEvent> trace;
+  kernel.set_trace([&trace](const TraceEvent& e) { trace.push_back(e); });
+  kernel.run([](NodeHandle& h) {
+    if (h.id() == 4) {
+      (void)h.post_receive(0, 99);  // never matched: dies at 50 us
+      return;
+    }
+    h.advance(from_us(5 * h.id()));
+    (void)h.global_op({}, 0);  // completed by node 4's death at 50 us
+    switch (h.id()) {
+      case 1:
+        (void)h.post_receive(6, kTagRing);
+        break;
+      case 2:
+        h.post_send(5, kTagSend, 0, 0, 0, {});
+        break;
+      case 3:
+        EXPECT_FALSE(h.post_receive_timeout(0, 3, 0).has_value());
+        break;
+      case 5:
+        (void)h.post_receive(2, kTagSend);
+        break;
+      case 6:
+        h.post_send(1, kTagRing, 0, 0, 0, {});
+        break;
+      default:
+        break;
+    }
+  });
+  return trace;
+}
+
+TEST(KernelTest, BarrierReleaseMergesWithHeapByNode) {
+  using Kind = TraceEvent::Kind;
+  const std::vector<TraceEvent> trace =
+      barrier_merge_trace(ExecutionModel::kFibers, 0);
+  std::vector<std::pair<Kind, NodeId>> at_release;
+  for (const TraceEvent& e : trace) {
+    if (e.time == from_us(50)) at_release.emplace_back(e.kind, e.node);
+  }
+  // Node by node in id order; a node woken at R resumes before any
+  // higher-id node still pending in the run, and the killed node 4
+  // unwinds between 3 and 5.
+  const std::vector<std::pair<Kind, NodeId>> expected = {
+      {Kind::FaultKill, 4},        {Kind::GlobalOpComplete, 4},
+      {Kind::NodeDone, 0},         {Kind::RecvPosted, 1},
+      {Kind::SendPosted, 2},       {Kind::RecvPosted, 3},
+      {Kind::WaitTimeout, 3},      {Kind::NodeDone, 3},
+      {Kind::NodeDone, 4},         {Kind::RecvPosted, 5},
+      {Kind::TransferStart, 2},    {Kind::TransferComplete, 2},
+      {Kind::NodeDone, 2},         {Kind::NodeDone, 5},
+      {Kind::SendPosted, 6},       {Kind::TransferStart, 6},
+      {Kind::TransferComplete, 6}, {Kind::NodeDone, 1},
+      {Kind::NodeDone, 6},         {Kind::NodeDone, 7},
+  };
+  EXPECT_EQ(at_release, expected);
+
+  const auto same = [](const std::vector<TraceEvent>& a,
+                       const std::vector<TraceEvent>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (std::tie(a[i].kind, a[i].time, a[i].node, a[i].peer, a[i].bytes,
+                   a[i].tag) != std::tie(b[i].kind, b[i].time, b[i].node,
+                                         b[i].peer, b[i].bytes, b[i].tag)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(same(trace, barrier_merge_trace(ExecutionModel::kThreads, 0)));
+  // Speculative lanes scan the merged entries too, and must not disturb
+  // them.
+  EXPECT_TRUE(same(
+      trace, barrier_merge_trace(ExecutionModel::kFibersMultiLane, 4)));
 }
 
 }  // namespace

@@ -3,15 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <set>
 #include <unistd.h>
+#include <vector>
 
 #include "cm5/util/check.hpp"
 
 /// \file stack_pool_test.cpp
 /// Behavioural tests for the process-wide fiber-stack pool: reuse
 /// identity (the perf claim — a released stack comes back verbatim),
-/// LIFO ordering (warmest pages first), the cache-size knobs, the guard
-/// page, and address-space exhaustion.
+/// LIFO ordering (warmest pages first), the cache-size knobs, cache
+/// colors, the guard page, and address-space exhaustion.
 ///
 /// The pool is a process-wide singleton whose stats are monotonic, so
 /// every test measures *deltas* — other tests (and fiber-backend runs in
@@ -155,6 +157,39 @@ TEST(StackPoolTest, TrimUnmapsEveryCachedStack) {
   EXPECT_EQ(after.cached, 0);
   EXPECT_EQ(after.unmapped - before.unmapped, before.cached);
   EXPECT_EQ(after.outstanding, before.outstanding);
+}
+
+TEST(StackPoolTest, ColorsAreLineMultiplesAndStable) {
+  // A bucket no other test touches, so every acquire below maps fresh.
+  constexpr std::size_t kSizeC = 112 * 1024;
+  constexpr std::size_t kColors =
+      FiberStackPool::kColorSpan / FiberStackPool::kColorStep;
+  FiberStackPool& pool = FiberStackPool::instance();
+  std::vector<FiberStackPool::Stack> stacks;
+  std::set<std::size_t> colors;
+  for (std::size_t i = 0; i < kColors; ++i) {
+    const FiberStackPool::Stack s = pool.acquire(kSizeC);
+    EXPECT_EQ(s.color % FiberStackPool::kColorStep, 0u);
+    EXPECT_LT(s.color, FiberStackPool::kColorSpan);
+    EXPECT_GE(s.size - s.color, kSizeC) << "usable size below the request";
+    EXPECT_EQ(s.size % page_size(), 0u);
+    if (!stacks.empty()) {
+      EXPECT_NE(s.color, stacks.back().color);
+    }
+    colors.insert(s.color);
+    stacks.push_back(s);
+  }
+  EXPECT_EQ(colors.size(), kColors) << "consecutive maps step the span";
+
+  // A released stack comes back with its color.
+  const FiberStackPool::Stack last = stacks.back();
+  stacks.pop_back();
+  pool.release(last);
+  const FiberStackPool::Stack again = pool.acquire(kSizeC);
+  EXPECT_EQ(again.base, last.base);
+  EXPECT_EQ(again.color, last.color);
+  pool.release(again);
+  for (const FiberStackPool::Stack& s : stacks) pool.release(s);
 }
 
 TEST(StackPoolTest, GuardPageFaultsOnOverflow) {
